@@ -539,7 +539,7 @@ fn isolation_phase(
     let ack = read_frame(&mut slow, MAX_FRAME_LEN).expect("handshake read");
     assert!(matches!(envelope::unwrap_v2(&ack), Some((0, _))));
     let slow_request = envelope::wrap_v2(
-        &Message::QueryRequest {
+        Message::QueryRequest {
             address: Address::new(SLOW_MARKER),
             range: None,
         }

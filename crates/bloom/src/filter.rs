@@ -1,6 +1,6 @@
 //! The [`BloomFilter`] bit vector.
 
-use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
+use lvq_codec::{encode_bytes, encoded_bytes_len, Decodable, DecodeError, Encodable, Reader};
 use lvq_crypto::{murmur3_32, Hash256};
 
 use crate::error::BloomError;
@@ -190,18 +190,18 @@ impl BloomFilter {
 impl Encodable for BloomFilter {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.params.encode_into(out);
-        self.bits.encode_into(out);
+        encode_bytes(&self.bits, out);
     }
 
     fn encoded_len(&self) -> usize {
-        self.params.encoded_len() + self.bits.encoded_len()
+        self.params.encoded_len() + encoded_bytes_len(&self.bits)
     }
 }
 
 impl Decodable for BloomFilter {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let params = BloomParams::decode_from(reader)?;
-        let bits = Vec::<u8>::decode_from(reader)?;
+        let bits = reader.read_byte_vec()?;
         if bits.len() != params.size_bytes() as usize {
             return Err(DecodeError::InvalidValue {
                 what: "bloom filter bit vector length",

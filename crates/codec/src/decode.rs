@@ -92,6 +92,20 @@ impl<'a> Reader<'a> {
         Ok(len as usize)
     }
 
+    /// Reads a byte string written by [`encode_bytes`](crate::encode_bytes)
+    /// (or by `Vec<u8>`'s [`Encodable`](crate::Encodable) impl) in one
+    /// copy.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Reader::read_len`] returns, and
+    /// [`DecodeError::UnexpectedEof`] when fewer bytes remain than the
+    /// length prefix claims.
+    pub fn read_byte_vec(&mut self) -> Result<Vec<u8>, DecodeError> {
+        let len = self.read_len()?;
+        Ok(self.read_bytes(len)?.to_vec())
+    }
+
     /// Asserts that the whole input was consumed.
     ///
     /// # Errors
@@ -197,9 +211,7 @@ impl<T: Decodable> Decodable for Vec<T> {
 
 impl Decodable for String {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = reader.read_len()?;
-        let bytes = reader.read_bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::InvalidUtf8)
+        String::from_utf8(reader.read_byte_vec()?).map_err(|_| DecodeError::InvalidUtf8)
     }
 }
 
@@ -303,6 +315,32 @@ mod tests {
                 decode_exact::<Vec<(u16, Option<String>)>>(&bytes).unwrap(),
                 v
             );
+        }
+
+        /// The bulk byte-string helpers are wire-identical to the generic
+        /// `Vec<u8>` path and round-trip exactly; truncating the encoding
+        /// anywhere is an error on both paths.
+        #[test]
+        fn bulk_bytes_match_generic_vec(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            cut: usize,
+        ) {
+            let generic = bytes.encode();
+            let mut bulk = Vec::new();
+            crate::encode_bytes(&bytes, &mut bulk);
+            prop_assert_eq!(&bulk, &generic);
+            prop_assert_eq!(crate::encoded_bytes_len(&bytes), generic.len());
+
+            let mut reader = Reader::new(&bulk);
+            prop_assert_eq!(reader.read_byte_vec().unwrap(), bytes);
+            prop_assert!(reader.finish().is_ok());
+
+            let short = &bulk[..cut % bulk.len()];
+            prop_assert!(matches!(
+                Reader::new(short).read_byte_vec(),
+                Err(DecodeError::UnexpectedEof { .. })
+            ));
+            prop_assert!(decode_exact::<Vec<u8>>(short).is_err());
         }
 
         #[test]

@@ -34,7 +34,7 @@ mod error;
 mod varint;
 
 pub use decode::{decode_exact, Decodable, Reader};
-pub use encode::Encodable;
+pub use encode::{encode_bytes, encoded_bytes_len, Encodable};
 pub use error::DecodeError;
 pub use varint::{compact_size_len, read_compact_size, write_compact_size};
 

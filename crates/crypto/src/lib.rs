@@ -3,7 +3,9 @@
 //! Everything is implemented from scratch (no external crypto crates are
 //! available offline) against published test vectors:
 //!
-//! * [`Sha256`] — FIPS 180-4 SHA-256, plus Bitcoin's double-SHA-256.
+//! * [`Sha256`] — FIPS 180-4 SHA-256, plus Bitcoin's double-SHA-256. On
+//!   x86-64 CPUs with the SHA extensions the compression function runs on
+//!   a SHA-NI kernel chosen at run time; elsewhere on the portable one.
 //! * [`Hash256`] — a 32-byte digest newtype used for every commitment in
 //!   the workspace (Merkle roots, BMT/SMT roots, header hashes).
 //! * [`murmur3_32`] — MurmurHash3 x86_32, the hash family Bitcoin's BIP 37
@@ -22,7 +24,10 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the SHA-NI kernel in `sha256` is the one
+// module allowed unsafe code (CPU intrinsics have no safe equivalent for
+// its block loads and its call). Everything else stays unsafe-free.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod base58;

@@ -39,7 +39,10 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use lvq_codec::{compact_size_len, write_compact_size, Decodable, DecodeError, Encodable, Reader};
+use lvq_codec::{
+    compact_size_len, encode_bytes, encoded_bytes_len, write_compact_size, Decodable, DecodeError,
+    Encodable, Reader,
+};
 use lvq_crypto::Hash256;
 
 /// Domain tag of the value-hash layer.
@@ -120,20 +123,20 @@ pub struct AvlLink {
 
 impl Encodable for AvlLink {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.key.encode_into(out);
+        encode_bytes(&self.key, out);
         self.hash.encode_into(out);
         self.height.encode_into(out);
     }
 
     fn encoded_len(&self) -> usize {
-        self.key.encoded_len() + self.hash.encoded_len() + 1
+        encoded_bytes_len(&self.key) + self.hash.encoded_len() + 1
     }
 }
 
 impl Decodable for AvlLink {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(AvlLink {
-            key: Vec::<u8>::decode_from(reader)?,
+            key: reader.read_byte_vec()?,
             hash: Hash256::decode_from(reader)?,
             height: u8::decode_from(reader)?,
         })
@@ -256,15 +259,15 @@ impl AvlNode {
 
 impl Encodable for AvlNode {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.key.encode_into(out);
-        self.value.encode_into(out);
+        encode_bytes(&self.key, out);
+        encode_bytes(&self.value, out);
         self.left.encode_into(out);
         self.right.encode_into(out);
     }
 
     fn encoded_len(&self) -> usize {
-        self.key.encoded_len()
-            + self.value.encoded_len()
+        encoded_bytes_len(&self.key)
+            + encoded_bytes_len(&self.value)
             + self.left.encoded_len()
             + self.right.encoded_len()
     }
@@ -273,8 +276,8 @@ impl Encodable for AvlNode {
 impl Decodable for AvlNode {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(AvlNode {
-            key: Vec::<u8>::decode_from(reader)?,
-            value: Vec::<u8>::decode_from(reader)?,
+            key: reader.read_byte_vec()?,
+            value: reader.read_byte_vec()?,
             left: Option::<AvlLink>::decode_from(reader)?,
             right: Option::<AvlLink>::decode_from(reader)?,
             kv_memo: OnceLock::new(),

@@ -314,14 +314,14 @@ impl SmtBranch {
 impl Encodable for SmtBranch {
     fn encode_into(&self, out: &mut Vec<u8>) {
         lvq_codec::write_compact_size(out, self.index);
-        self.key.encode_into(out);
+        lvq_codec::encode_bytes(&self.key, out);
         self.value.encode_into(out);
         self.siblings.encode_into(out);
     }
 
     fn encoded_len(&self) -> usize {
         lvq_codec::compact_size_len(self.index)
-            + self.key.encoded_len()
+            + lvq_codec::encoded_bytes_len(&self.key)
             + self.value.encoded_len()
             + self.siblings.encoded_len()
     }
@@ -330,7 +330,7 @@ impl Encodable for SmtBranch {
 impl Decodable for SmtBranch {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let index = lvq_codec::read_compact_size(reader)?;
-        let key = Vec::<u8>::decode_from(reader)?;
+        let key = reader.read_byte_vec()?;
         let value = u64::decode_from(reader)?;
         let siblings = Vec::<Hash256>::decode_from(reader)?;
         if siblings.len() > MAX_DEPTH {

@@ -221,7 +221,7 @@ impl<S: BlockSource, T: TableSource> FullNode<S, T> {
                 let handled = self.handle_v1(&v1);
                 Handled {
                     kind: handled.kind,
-                    bytes: envelope::wrap_v2(&handled.bytes, id),
+                    bytes: envelope::wrap_v2(handled.bytes, id),
                     error: handled.error,
                 }
             }

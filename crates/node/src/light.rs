@@ -342,7 +342,7 @@ impl LightNode {
     ) -> Result<QueryRun, NodeError> {
         let request = spec.to_message().encode();
         let (reply, traffic) = self.metered_exchange(transport, &request)?;
-        let histories = self.verify_reply(spec, &reply)?;
+        let histories = self.verify_reply(spec, reply)?;
         Ok(QueryRun { histories, traffic })
     }
 
@@ -386,7 +386,7 @@ impl LightNode {
             let index = by_id
                 .remove(&id)
                 .ok_or(NodeError::UnknownRequestId { id })?;
-            let histories = self.verify_reply(&specs[index], &reply)?;
+            let histories = self.verify_reply(&specs[index], reply)?;
             runs[index] = Some(QueryRun { histories, traffic });
             done += 1;
         }
@@ -402,10 +402,14 @@ impl LightNode {
     fn verify_reply(
         &self,
         spec: &QuerySpec,
-        reply: &[u8],
+        reply: Vec<u8>,
     ) -> Result<Vec<VerifiedHistory>, NodeError> {
         let range = spec.height_range();
-        match (Self::decode_reply(reply)?, spec.is_batch()) {
+        let message = Self::decode_reply(&reply)?;
+        // A proof can run to tens of megabytes: free its wire bytes
+        // before verifying, so it is never held twice.
+        drop(reply);
+        match (message, spec.is_batch()) {
             (Message::QueryResponse(response), false) => {
                 let address = &spec.targets()[0];
                 Ok(vec![match range {

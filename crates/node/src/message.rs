@@ -443,6 +443,7 @@ impl Message {
 pub mod envelope {
     use super::{Message, PROTOCOL_V2, PROTOCOL_VERSION};
     use lvq_codec::Encodable;
+    use std::borrow::Cow;
 
     /// Length of the v2 envelope head: one version byte plus the
     /// little-endian `u64` request id.
@@ -450,32 +451,41 @@ pub mod envelope {
 
     /// Encodes `message` in a v2 envelope carrying `id`.
     pub fn encode_v2(message: &Message, id: u64) -> Vec<u8> {
-        wrap_v2(&message.encode(), id)
+        wrap_v2(message.encode(), id)
     }
 
     /// Splices a v1-encoded payload into a v2 envelope carrying `id`.
+    ///
+    /// An owned buffer is rewritten in place, so a multi-megabyte
+    /// response is never held twice; a borrowed one is copied first.
     ///
     /// # Panics
     ///
     /// If `v1` is empty (a v1 payload always has a version byte).
     #[must_use]
-    pub fn wrap_v2(v1: &[u8], id: u64) -> Vec<u8> {
-        assert!(!v1.is_empty(), "a v1 payload always has a version byte");
-        let mut out = Vec::with_capacity(v1.len() + V2_HEAD - 1);
-        out.push(PROTOCOL_V2);
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&v1[1..]);
-        out
+    pub fn wrap_v2<'a>(v1: impl Into<Cow<'a, [u8]>>, id: u64) -> Vec<u8> {
+        let mut payload = v1.into().into_owned();
+        assert!(
+            !payload.is_empty(),
+            "a v1 payload always has a version byte"
+        );
+        payload[0] = PROTOCOL_V2;
+        payload.splice(1..1, id.to_le_bytes());
+        payload
     }
 
     /// Splits a v2 payload into its request id and the equivalent
     /// v1-encoded payload. Returns `None` when the payload is not v2
     /// or too short to carry the envelope head.
-    pub fn unwrap_v2(payload: &[u8]) -> Option<(u64, Vec<u8>)> {
-        let id = request_id(payload)?;
-        let mut v1 = Vec::with_capacity(payload.len() + 1 - V2_HEAD);
-        v1.push(PROTOCOL_VERSION);
-        v1.extend_from_slice(&payload[V2_HEAD..]);
+    ///
+    /// An owned v2 buffer is rewritten in place; a borrowed one is
+    /// copied first. A payload that is not v2 is never copied.
+    pub fn unwrap_v2<'a>(payload: impl Into<Cow<'a, [u8]>>) -> Option<(u64, Vec<u8>)> {
+        let payload = payload.into();
+        let id = request_id(&payload)?;
+        let mut v1 = payload.into_owned();
+        v1.drain(1..V2_HEAD);
+        v1[0] = PROTOCOL_VERSION;
         Some((id, v1))
     }
 

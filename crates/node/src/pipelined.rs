@@ -322,7 +322,7 @@ impl PipelinedTransport for PipelinedTcpTransport {
             });
         }
         let reply = read_frame(&mut self.stream, self.max_frame_len)?;
-        let Some((id, v1)) = envelope::unwrap_v2(&reply) else {
+        let Some(id) = envelope::request_id(&reply) else {
             // A bare v1 frame on a negotiated v2 connection: the reply
             // stream is corrupt. Surface any structured refusal it
             // carries, otherwise the generic protocol fault.
@@ -341,6 +341,8 @@ impl PipelinedTransport for PipelinedTcpTransport {
         self.cumulative.request_bytes += traffic.request_bytes;
         self.cumulative.response_bytes += traffic.response_bytes;
         self.exchanges += 1;
+        // Unwrapped in place: a multi-megabyte reply is never held twice.
+        let (_, v1) = envelope::unwrap_v2(reply).expect("request_id found a v2 head");
         Ok((id, v1, traffic))
     }
 

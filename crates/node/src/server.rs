@@ -928,7 +928,7 @@ fn worker_loop<P: ServeNode>(
                     Handled {
                         kind: RequestKind::Invalid,
                         bytes: match id {
-                            Some(id) => envelope::wrap_v2(&refusal, id),
+                            Some(id) => envelope::wrap_v2(refusal, id),
                             None => refusal,
                         },
                         error: Some(WireErrorCode::Internal),
@@ -950,7 +950,7 @@ fn worker_loop<P: ServeNode>(
                     Handled {
                         kind: handled.kind,
                         bytes: match id {
-                            Some(id) => envelope::wrap_v2(&refusal, id),
+                            Some(id) => envelope::wrap_v2(refusal, id),
                             None => refusal,
                         },
                         error: Some(WireErrorCode::DeadlineExceeded),
@@ -1265,7 +1265,7 @@ impl<P: ServeNode> EventLoop<P> {
                 self.shared.errors.fetch_add(1, Ordering::Relaxed);
                 self.shared.by_kind[kind_index(RequestKind::Invalid)]
                     .fetch_add(1, Ordering::Relaxed);
-                self.enqueue(index, envelope::wrap_v2(&refusal, id));
+                self.enqueue(index, envelope::wrap_v2(refusal, id));
                 true
             }
             Action::OverCap(id) => {
@@ -1279,7 +1279,7 @@ impl<P: ServeNode> EventLoop<P> {
                     features: 0,
                 })
                 .encode();
-                self.enqueue(index, envelope::wrap_v2(&ack, id));
+                self.enqueue(index, envelope::wrap_v2(ack, id));
                 true
             }
         }
@@ -1326,7 +1326,7 @@ impl<P: ServeNode> EventLoop<P> {
         self.shared.busy.fetch_add(1, Ordering::Relaxed);
         let busy = Message::Busy.encode();
         let bytes = match id {
-            Some(id) => envelope::wrap_v2(&busy, id),
+            Some(id) => envelope::wrap_v2(busy, id),
             None => busy,
         };
         self.enqueue(index, bytes);
@@ -1343,9 +1343,11 @@ impl<P: ServeNode> EventLoop<P> {
         self.shared
             .response_bytes
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        // The length prefix is spliced in place, so a multi-megabyte
+        // response is never held twice.
+        let len = (payload.len() as u32).to_le_bytes();
+        let mut frame = payload;
+        frame.splice(0..0, len);
         if conn.out.is_empty() {
             conn.write_progress = Instant::now();
         }

@@ -226,7 +226,7 @@ fn duplicate_request_id_is_refused_with_a_structured_error() {
 
     // Both frames under id 7 in one write, so the second is parsed
     // while the first is still in flight.
-    let request = envelope::wrap_v2(&Message::GetHeaders.encode(), 7);
+    let request = envelope::wrap_v2(Message::GetHeaders.encode(), 7);
     let mut burst = Vec::new();
     for _ in 0..2 {
         burst.extend_from_slice(&u32::try_from(request.len()).unwrap().to_le_bytes());
@@ -275,7 +275,7 @@ fn unknown_request_id_is_surfaced_to_the_client() {
         write_frame(&mut stream, &ack).unwrap();
         // …then answer the first request under a fabricated id.
         let _request = read_frame(&mut stream, MAX_FRAME_LEN).unwrap();
-        let reply = envelope::wrap_v2(&Message::Busy.encode(), 999);
+        let reply = envelope::wrap_v2(Message::Busy.encode(), 999);
         write_frame(&mut stream, &reply).unwrap();
     });
 
