@@ -6,7 +6,8 @@
 //! [`NodeServer`]s over loopback TCP — two honest, one running a
 //! [`CensoringNode`] that drops a transaction from every
 //! multi-transaction Merkle-branch fragment — and demonstrates both
-//! halves of the claim with [`query_quorum_batch`]:
+//! halves of the claim with one batched [`query_quorum_spec`] per
+//! phase:
 //!
 //! 1. **Alone, censorship is invisible** — the censor's batch response
 //!    verifies as correct even though transactions are missing;
@@ -24,8 +25,8 @@ use lvq_chain::Address;
 use lvq_codec::{decode_exact, Encodable};
 use lvq_core::{BatchQueryResponse, BlockFragment, LightClient, QueryResponse, Scheme};
 use lvq_node::{
-    query_quorum_batch, FullNode, Handled, Message, NodeServer, RequestKind, ServeNode,
-    ServerConfig, TcpTransport, Traffic,
+    query_quorum_spec, FullNode, Handled, Message, NodeServer, PeerHealth, PeerOutcome, QuerySpec,
+    RequestKind, RetryPolicy, ServeNode, ServerConfig, TcpTransport, Traffic,
 };
 
 use crate::report::{bytes, Table};
@@ -110,7 +111,8 @@ pub struct Quorum {
     pub withholding_peers: Vec<usize>,
     /// Peers whose response failed verification outright.
     pub rejected_peers: Vec<usize>,
-    /// Total traffic of the three-peer quorum round.
+    /// Total traffic of the three-peer quorum round, tip-census probes
+    /// included.
     pub traffic: Traffic,
 }
 
@@ -157,7 +159,10 @@ pub fn run(scale: Scale, seed: u64) -> Quorum {
 
     // Phase 1 — the censor alone: verifies cleanly, yet transactions
     // are missing and nothing flags the peer.
-    let alone = query_quorum_batch(&client, &mut [&mut tc], &addresses).expect("alone verifies");
+    let query = QuerySpec::addresses(addresses.clone());
+    let policy = RetryPolicy::none();
+    let alone =
+        query_quorum_spec(&client, &mut [&mut tc], &query, &policy, seed).expect("alone verifies");
     let alone_total: u64 = alone
         .histories
         .iter()
@@ -168,13 +173,19 @@ pub fn run(scale: Scale, seed: u64) -> Quorum {
         "the censor must actually withhold something ({alone_total} of {truth_total})"
     );
     assert!(
-        alone.withholding_peers.is_empty() && alone.rejected_peers.is_empty(),
+        alone.withholding_peers.is_empty() && rejected_peers(&alone.peers).is_empty(),
         "withholding must be undetectable without a second peer"
     );
 
     // Phase 2 — quorum of three, censor in the middle.
-    let outcome = query_quorum_batch(&client, &mut [&mut ta, &mut tc, &mut tb], &addresses)
-        .expect("quorum with honest peers verifies");
+    let outcome = query_quorum_spec(
+        &client,
+        &mut [&mut ta, &mut tc, &mut tb],
+        &query,
+        &policy,
+        seed,
+    )
+    .expect("quorum with honest peers verifies");
     for ((history, expected), address) in outcome.histories.iter().zip(&truth).zip(&addresses) {
         assert_eq!(
             history.transactions.len(),
@@ -187,7 +198,8 @@ pub fn run(scale: Scale, seed: u64) -> Quorum {
         vec![CENSOR],
         "exactly the censor is flagged, with zero false accusations"
     );
-    assert!(outcome.rejected_peers.is_empty());
+    let rejected_peers = rejected_peers(&outcome.peers);
+    assert!(rejected_peers.is_empty());
 
     drop((ta, tb, tc));
     for stats in [
@@ -204,9 +216,19 @@ pub fn run(scale: Scale, seed: u64) -> Quorum {
         alone_missing: truth_total - alone_total,
         truth_total,
         withholding_peers: outcome.withholding_peers,
-        rejected_peers: outcome.rejected_peers,
+        rejected_peers,
         traffic: outcome.traffic,
     }
+}
+
+/// Indices of the peers whose answer failed verification outright.
+fn rejected_peers(peers: &[PeerHealth]) -> Vec<usize> {
+    peers
+        .iter()
+        .enumerate()
+        .filter(|(_, health)| matches!(health.outcome, PeerOutcome::Rejected(_)))
+        .map(|(index, _)| index)
+        .collect()
 }
 
 impl std::fmt::Display for Quorum {

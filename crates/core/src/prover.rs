@@ -380,7 +380,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         segs: &[Segment],
         position_sets: &[Vec<u64>],
     ) -> Result<Vec<BmtBatchProof>, ProveError> {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = segs
                 .iter()
                 .map(|seg| {

@@ -36,7 +36,7 @@ where
         return (0..count).map(f).collect();
     }
     let f = &f;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..count).map(|i| scope.spawn(move || f(i))).collect();
         handles
             .into_iter()

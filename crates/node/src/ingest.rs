@@ -16,7 +16,8 @@
 //!   a healthy feed is drained in large strides and a flaky one is
 //!   probed gently;
 //! * **seeded-jitter retry** — transient feed failures back off
-//!   exponentially with deterministic jitter
+//!   with deterministic decorrelated jitter within
+//!   [`IngestConfig::backoff`]`..=`[`IngestConfig::max_backoff`]
 //!   ([`IngestConfig::seed`]), so two ingesters recovering from the
 //!   same outage do not hammer the source in lockstep, and a test can
 //!   replay the exact schedule;
@@ -59,6 +60,7 @@ use lvq_store::{BlockStore, StoreError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::backoff::{interruptible_sleep, Backoff};
 use crate::live::LiveNode;
 use crate::supervise::{HealthCell, Supervised, SupervisorConfig, TaskSpec, WorkCtx};
 
@@ -231,9 +233,9 @@ pub struct IngestConfig {
     pub max_batch: u64,
     /// Sleep between fetches while caught up with the feed.
     pub poll: Duration,
-    /// Base backoff after a transient feed failure; doubles per
-    /// consecutive failure up to `max_backoff`, plus seeded jitter of
-    /// up to half the current backoff.
+    /// Base backoff after a transient feed failure; consecutive
+    /// failures grow it with seeded decorrelated jitter, never past
+    /// `max_backoff`.
     pub backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
@@ -662,17 +664,6 @@ impl Drop for IngestHandle {
     }
 }
 
-/// Sleeps for `total`, waking early if `stop` is raised.
-fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
-    let mut remaining = total;
-    let chunk = Duration::from_millis(5);
-    while !remaining.is_zero() && !stop.load(Ordering::SeqCst) {
-        let step = remaining.min(chunk);
-        std::thread::sleep(step);
-        remaining = remaining.saturating_sub(step);
-    }
-}
-
 fn ingest_loop<S, T, F>(
     node: &LiveNode<S, T>,
     store: &BlockStore,
@@ -689,7 +680,7 @@ where
 {
     let min_batch = config.min_batch.max(1);
     let max_batch = config.max_batch.max(min_batch);
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut backoff = Backoff::new(config.backoff, config.max_backoff, config.seed);
 
     // Resume from durability: the store's height is the truth. A chain
     // reassembled from this store is already there; a chain that lags
@@ -738,12 +729,14 @@ where
             Ok(blocks) if blocks.is_empty() => {
                 shared.caught_up.store(true, Ordering::Relaxed);
                 consecutive_failures = 0;
+                backoff.reset();
                 ctx.idle();
                 interruptible_sleep(config.poll, stop);
             }
             Ok(blocks) => {
                 shared.caught_up.store(false, Ordering::Relaxed);
                 consecutive_failures = 0;
+                backoff.reset();
 
                 if let Some(tree) = tree.as_mut() {
                     cursor += blocks.len() as u64;
@@ -791,19 +784,8 @@ where
                     }
                 }
                 batch = (batch / 2).max(min_batch);
-                let exp = consecutive_failures.saturating_sub(1).min(10);
-                let base = config
-                    .backoff
-                    .saturating_mul(1u32 << exp)
-                    .min(config.max_backoff);
-                let jitter_us = (base.as_micros() / 2) as u64;
-                let jitter = Duration::from_micros(if jitter_us == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..=jitter_us)
-                });
                 ctx.idle();
-                interruptible_sleep(base + jitter, stop);
+                interruptible_sleep(backoff.next(), stop);
             }
         }
     }

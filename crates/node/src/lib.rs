@@ -27,8 +27,8 @@
 //!   payload bytes only, so measurements agree exactly;
 //! * [`NodeServer`] — a thread-per-connection TCP server sharing one
 //!   `Arc<FullNode>` (and thus its memo caches) across clients;
-//! * [`query_quorum`] / [`query_quorum_batch`] — cross-check several
-//!   peers and merge their verified answers;
+//! * [`query_quorum_spec`] — cross-check several peers and merge
+//!   their verified answers;
 //! * [`BandwidthModel`] — converts measured bytes into estimated
 //!   transfer times for reporting.
 //!
@@ -62,6 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backoff;
 mod bandwidth;
 mod faults;
 pub mod frame;
@@ -100,9 +101,8 @@ pub use pipelined::{
     Negotiated, PipelinedTcpTransport, PipelinedTransport, ReqId, SequentialPipeline,
 };
 pub use quorum::{
-    converge_on_majority, query_quorum, query_quorum_batch, query_quorum_spec, tip_census,
-    MajorityConvergence, PeerHealth, PeerOutcome, QueryPeer, QuorumBatchOutcome, QuorumOutcome,
-    QuorumReport, TipRelation,
+    converge_on_majority, query_quorum_spec, tip_census, MajorityConvergence, PeerHealth,
+    PeerOutcome, QueryPeer, QuorumReport, TipRelation,
 };
 pub use reconnect::ReconnectingTcpTransport;
 pub use retry::{ResyncOutcome, Retrier, RetryPolicy, RetryStats};

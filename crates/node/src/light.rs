@@ -199,7 +199,7 @@ impl LightNode {
     ) -> Result<Self, NodeError> {
         let request = Message::GetHeaders.encode();
         let (reply, traffic) = transport.exchange(&request)?;
-        let Message::Headers(headers) = Self::decode_reply(&reply)? else {
+        let Message::Headers(headers) = decode_reply(&reply)? else {
             return Err(NodeError::UnexpectedMessage);
         };
         // The served headers must carry exactly the commitments the
@@ -269,7 +269,7 @@ impl LightNode {
             }
             .encode();
             let (reply, _) = self.metered_exchange(transport, &request)?;
-            match Self::decode_reply(&reply)? {
+            match decode_reply(&reply)? {
                 Message::Headers(new_headers) => {
                     Self::check_commitment_policy(&new_headers, probe, self.client.config())?;
                     // Validate the tail's linkage onto the agreed
@@ -342,7 +342,7 @@ impl LightNode {
     ) -> Result<QueryRun, NodeError> {
         let request = spec.to_message().encode();
         let (reply, traffic) = self.metered_exchange(transport, &request)?;
-        let histories = self.verify_reply(spec, reply)?;
+        let histories = verify_reply(&self.client, spec, reply)?;
         Ok(QueryRun { histories, traffic })
     }
 
@@ -386,7 +386,7 @@ impl LightNode {
             let index = by_id
                 .remove(&id)
                 .ok_or(NodeError::UnknownRequestId { id })?;
-            let histories = self.verify_reply(&specs[index], reply)?;
+            let histories = verify_reply(&self.client, &specs[index], reply)?;
             runs[index] = Some(QueryRun { histories, traffic });
             done += 1;
         }
@@ -394,38 +394,6 @@ impl LightNode {
             .into_iter()
             .map(|run| run.expect("every spec was answered"))
             .collect())
-    }
-
-    /// Decodes and verifies one reply against the spec that requested
-    /// it — the shared back half of [`LightNode::run`] and
-    /// [`LightNode::run_pipelined`].
-    fn verify_reply(
-        &self,
-        spec: &QuerySpec,
-        reply: Vec<u8>,
-    ) -> Result<Vec<VerifiedHistory>, NodeError> {
-        let range = spec.height_range();
-        let message = Self::decode_reply(&reply)?;
-        // A proof can run to tens of megabytes: free its wire bytes
-        // before verifying, so it is never held twice.
-        drop(reply);
-        match (message, spec.is_batch()) {
-            (Message::QueryResponse(response), false) => {
-                let address = &spec.targets()[0];
-                Ok(vec![match range {
-                    None => self.client.verify(address, &response)?,
-                    Some((lo, hi)) => self.client.verify_range(address, lo, hi, &response)?,
-                }])
-            }
-            (Message::BatchQueryResponse(response), true) => Ok(match range {
-                None => self.client.verify_batch(spec.targets(), &response)?,
-                Some((lo, hi)) => {
-                    self.client
-                        .verify_batch_range(spec.targets(), lo, hi, &response)?
-                }
-            }),
-            _ => Err(NodeError::UnexpectedMessage),
-        }
     }
 
     /// Runs one query under a retry policy: transient failures (a shed
@@ -476,16 +444,6 @@ impl LightNode {
         })
     }
 
-    /// Decodes a reply, surfacing the server's flow-control and refusal
-    /// messages as the matching [`NodeError`]s.
-    fn decode_reply(reply: &[u8]) -> Result<Message, NodeError> {
-        match decode_exact::<Message>(reply)? {
-            Message::Busy => Err(NodeError::Busy),
-            Message::Error(e) => Err(NodeError::Server(e)),
-            message => Ok(message),
-        }
-    }
-
     /// Checks that `headers` (starting at chain height `offset + 1`)
     /// carry exactly the commitments the trusted configuration's scheme
     /// requires.
@@ -520,6 +478,46 @@ impl LightNode {
         self.cumulative.response_bytes += traffic.response_bytes;
         self.exchanges += 1;
         Ok((reply, traffic))
+    }
+}
+
+/// Decodes a reply, surfacing the server's flow-control and refusal
+/// messages as the matching [`NodeError`]s (so a retry policy can
+/// classify them).
+fn decode_reply(reply: &[u8]) -> Result<Message, NodeError> {
+    match decode_exact::<Message>(reply)? {
+        Message::Busy => Err(NodeError::Busy),
+        Message::Error(e) => Err(NodeError::Server(e)),
+        message => Ok(message),
+    }
+}
+
+/// Decodes and verifies one reply against the spec that requested it —
+/// the shared back half of [`LightNode::run`],
+/// [`LightNode::run_pipelined`] and [`crate::query_quorum_spec`].
+pub(crate) fn verify_reply(
+    client: &LightClient,
+    spec: &QuerySpec,
+    reply: Vec<u8>,
+) -> Result<Vec<VerifiedHistory>, NodeError> {
+    let range = spec.height_range();
+    let message = decode_reply(&reply)?;
+    // A proof can run to tens of megabytes: free its wire bytes before
+    // verifying, so it is never held twice.
+    drop(reply);
+    match (message, spec.is_batch()) {
+        (Message::QueryResponse(response), false) => {
+            let address = &spec.targets()[0];
+            Ok(vec![match range {
+                None => client.verify(address, &response)?,
+                Some((lo, hi)) => client.verify_range(address, lo, hi, &response)?,
+            }])
+        }
+        (Message::BatchQueryResponse(response), true) => Ok(match range {
+            None => client.verify_batch(spec.targets(), &response)?,
+            Some((lo, hi)) => client.verify_batch_range(spec.targets(), lo, hi, &response)?,
+        }),
+        _ => Err(NodeError::UnexpectedMessage),
     }
 }
 

@@ -9,17 +9,13 @@
 //! transient and giving up immediately on fatal ones — a verification
 //! failure must never be papered over by asking the same peer again.
 //!
-//! Backoff uses decorrelated jitter (`sleep = min(cap, uniform(base,
-//! prev * 3))`): it spreads synchronized clients apart like full
-//! jitter but still grows roughly exponentially. The jitter stream
-//! comes from a seeded RNG, so a retry schedule — like everything else
-//! in the chaos harness — is reproducible.
+//! Backoff uses the crate's decorrelated jitter (`sleep = min(cap,
+//! uniform(base, prev * 3))`) from a seeded RNG, so a retry schedule —
+//! like everything else in the chaos harness — is reproducible.
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use crate::backoff::Backoff;
 use crate::message::NodeError;
 
 /// How hard to try: attempt cap, backoff window, deadline budget.
@@ -210,7 +206,7 @@ impl RetryStats {
 #[derive(Debug)]
 pub struct Retrier {
     policy: RetryPolicy,
-    rng: StdRng,
+    backoff: Backoff,
     stats: RetryStats,
 }
 
@@ -220,7 +216,7 @@ impl Retrier {
     pub fn new(policy: RetryPolicy, seed: u64) -> Self {
         Retrier {
             policy,
-            rng: StdRng::seed_from_u64(seed),
+            backoff: Backoff::new(policy.base_backoff, policy.max_backoff, seed),
             stats: RetryStats::default(),
         }
     }
@@ -264,7 +260,7 @@ impl Retrier {
     {
         let started = Instant::now();
         self.stats.operations += 1;
-        let mut prev_sleep = self.policy.base_backoff;
+        self.backoff.reset();
         for attempt in 1..=self.policy.max_attempts {
             self.stats.attempts += 1;
             if attempt > 1 {
@@ -282,7 +278,7 @@ impl Retrier {
                 self.stats.exhausted += 1;
                 return Err(error);
             }
-            let sleep = self.next_backoff(&mut prev_sleep);
+            let sleep = self.backoff.next();
             if let Some(deadline) = self.policy.deadline {
                 if started.elapsed() + sleep >= deadline {
                     self.stats.exhausted += 1;
@@ -295,21 +291,6 @@ impl Retrier {
             }
         }
         unreachable!("the loop returns on the final attempt");
-    }
-
-    /// One decorrelated-jitter step: `min(cap, uniform(base, prev*3))`.
-    fn next_backoff(&mut self, prev: &mut Duration) -> Duration {
-        let base = self.policy.base_backoff.as_micros() as u64;
-        let cap = self.policy.max_backoff.as_micros() as u64;
-        let hi = (prev.as_micros() as u64).saturating_mul(3).max(base);
-        let drawn = if hi > base {
-            self.rng.gen_range(base..=hi)
-        } else {
-            base
-        };
-        let sleep = Duration::from_micros(drawn.min(cap));
-        *prev = sleep;
-        sleep
     }
 }
 

@@ -25,6 +25,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::backoff::{interruptible_sleep, Backoff};
+
 /// How a supervised subsystem is doing, worst observation wins.
 ///
 /// The reasons are `&'static str` so the state stays `Copy` and can
@@ -330,40 +332,6 @@ enum AttemptEnd {
     Stalled,
 }
 
-/// `splitmix64`: the same tiny deterministic mixer the store's crash
-/// injection uses, for seeded backoff jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Decorrelated-jitter backoff: uniformly in `[base, prev * 3]`,
-/// clamped to `[base, cap]`. Deterministic in `(seed, restart index)`.
-fn backoff_delay(config: &SupervisorConfig, seed: u64, restart: u32, prev: Duration) -> Duration {
-    let base = config.backoff_base.max(Duration::from_millis(1));
-    let cap = config.backoff_cap.max(base);
-    let span_ms = (prev.as_millis() as u64)
-        .saturating_mul(3)
-        .clamp(base.as_millis() as u64, cap.as_millis() as u64);
-    let low = base.as_millis() as u64;
-    let width = span_ms.saturating_sub(low).saturating_add(1);
-    let pick = low + splitmix64(seed ^ u64::from(restart)) % width;
-    Duration::from_millis(pick).min(cap)
-}
-
-/// Sleeps `total`, waking early when `stop` is raised.
-fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
-    let mut remaining = total;
-    let chunk = Duration::from_millis(5);
-    while !remaining.is_zero() && !stop.load(Ordering::SeqCst) {
-        let step = remaining.min(chunk);
-        std::thread::sleep(step);
-        remaining = remaining.saturating_sub(step);
-    }
-}
-
 /// How often the monitor thread polls its attempt.
 const MONITOR_POLL: Duration = Duration::from_millis(5);
 
@@ -460,7 +428,11 @@ fn monitor_loop<F>(
     F: Fn(WorkCtx) -> Result<(), String> + Send + Sync + 'static,
 {
     let mut restart = 0u32;
-    let mut prev_delay = config.backoff_base;
+    let mut backoff = Backoff::new(
+        config.backoff_base.max(Duration::from_millis(1)),
+        config.backoff_cap,
+        config.seed,
+    );
     loop {
         let ctx = WorkCtx {
             stop: Arc::new(AtomicBool::new(stop.load(Ordering::SeqCst))),
@@ -548,9 +520,7 @@ fn monitor_loop<F>(
                     AttemptEnd::Stalled => spec.stall_reason,
                     _ => spec.restart_reason,
                 });
-                let delay = backoff_delay(&config, config.seed, restart, prev_delay);
-                prev_delay = delay;
-                interruptible_sleep(delay, stop);
+                interruptible_sleep(backoff.next(), stop);
             }
         }
     }
@@ -733,25 +703,5 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "shutdown hung on a wedged attempt"
         );
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let config = SupervisorConfig::new()
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(200));
-        let mut prev = config.backoff_base;
-        for restart in 1..=10u32 {
-            let a = backoff_delay(&config, 7, restart, prev);
-            let b = backoff_delay(&config, 7, restart, prev);
-            assert_eq!(a, b, "same seed and index must give the same delay");
-            assert!(a >= Duration::from_millis(10) && a <= Duration::from_millis(200));
-            prev = a;
-        }
-        // A different seed diverges somewhere in the first few picks.
-        let diverges = (1..=5u32).any(|r| {
-            backoff_delay(&config, 1, r, config.backoff_base)
-                != backoff_delay(&config, 2, r, config.backoff_base)
-        });
-        assert!(diverges, "jitter ignored the seed");
     }
 }
