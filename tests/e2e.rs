@@ -264,3 +264,97 @@ fn bandwidth_model_orders_schemes_like_sizes() {
             <= model.transfer_time(resp_strawman.total_bytes())
     );
 }
+
+/// The fixed-seed chain whose response bytes `wire_bytes_are_pinned`
+/// fingerprints: a non-power-of-two tip (sub-segments) and small
+/// filters, so responses carry clean endpoints, existence fragments and
+/// FPM resolutions alike.
+fn golden_workload(scheme: Scheme) -> Workload {
+    workload_for(scheme, 48, 16, 45)
+}
+
+fn sha256_hex(bytes: &[u8]) -> String {
+    lvq::crypto::hex::encode(&lvq::crypto::sha256(bytes))
+}
+
+#[test]
+fn wire_bytes_are_pinned() {
+    // SHA-256 of the encoded `respond`, `respond_range`, `respond_batch`
+    // and `respond_batch_range` responses, per scheme, in that order.
+    // Sizes and coverage are pinned elsewhere; this pins the bytes, so
+    // a refactor of the prover cannot change what goes on the wire.
+    const GOLDEN: [(Scheme, [&str; 4]); 4] = [
+        (
+            Scheme::Strawman,
+            [
+                "2470c475f3dbae4e4228eac4a9f35200cc493eaac3254291d900e1389d3e4b18",
+                "2ff8c9882870d9843dadf35c6b321100374ac56541dd7375449aa854704fb48e",
+                "e86c1f1c244fe54cfdf7ffb360b00f2b540e1a470b11a378e30a89586fe5708c",
+                "e6c2b9ad07dbac4cba808ca8a1989c57a7616513c38ca5e77d601abc129d7a2f",
+            ],
+        ),
+        (
+            Scheme::LvqWithoutBmt,
+            [
+                "1a54c76086c8bab125a8da16cfc79d526736639cfe162c2f1c4ae40073f62460",
+                "afcb2028f3bf1ed28e6a6ae82971050392dee50943ac469f6ddc5976665fb95a",
+                "c457caacb0e0a613fd0519fa55afc87cbf344841438a9c2be72222189b5256a9",
+                "2dd614646ed4d121317c9eed9ebb9c5d42794acc59f24375615ff6675e1b5954",
+            ],
+        ),
+        (
+            Scheme::LvqWithoutSmt,
+            [
+                "703df6110b9ea910d7955ca54ed1acc1b58c860057fc7c46da4b1eb861d65c07",
+                "fbd9bf6be0a9dfd8a8c6e9ba663c6468ab390f6f3dd490f99d9d680d34a1c17b",
+                "13f493d88c5077fec29eea9881b0fee01cdc95a4b1a1f1f94c7afc12354cdee9",
+                "53b0659b5b501aee05830474b826fe2b1fe21f501abbe18dd9ab4874b29724e7",
+            ],
+        ),
+        (
+            Scheme::Lvq,
+            [
+                "d74c4a83f6d25d0eebd2c11e9de66f4df79d577113b8bbe5278a91eb5e843843",
+                "5a422c057552df7bfd0bc7c1c0c0bb4cd00c1bcf271935749061f14e7d23cb88",
+                "d2307df761aeddee562559dfcce0d2a940a44d8ee00cf906774568e5586efeef",
+                "414edaa1c8b887583173894c53d77d4d7be461a1d4aacc5f7b3c631ba2744c01",
+            ],
+        ),
+    ];
+    // Per-probe BMT endpoint counts of the single-address `respond`
+    // (zero for the per-block schemes, which send no BMT proof).
+    const ENDPOINTS: [[u64; 6]; 4] = [
+        [0; 6],
+        [0; 6],
+        [9, 18, 26, 9, 16, 17],
+        [9, 18, 26, 9, 16, 17],
+    ];
+    let (lo, hi) = (5u64, 29u64);
+    for ((scheme, digests), endpoints) in GOLDEN.iter().zip(&ENDPOINTS) {
+        let workload = golden_workload(*scheme);
+        let prover = Prover::from_chain(&workload.chain).unwrap();
+        let addresses: Vec<Address> = workload.probes.iter().map(|p| p.address.clone()).collect();
+        let busiest = &workload.probes[5].address;
+        let got = [
+            sha256_hex(&prover.respond(busiest).unwrap().0.encode()),
+            sha256_hex(&prover.respond_range(busiest, lo, hi).unwrap().0.encode()),
+            sha256_hex(&prover.respond_batch(&addresses).unwrap().0.encode()),
+            sha256_hex(
+                &prover
+                    .respond_batch_range(&addresses, lo, hi)
+                    .unwrap()
+                    .0
+                    .encode(),
+            ),
+        ];
+        assert_eq!(got, *digests, "scheme {scheme}");
+        let counts: Vec<u64> = addresses
+            .iter()
+            .map(|a| prover.respond(a).unwrap().1.bmt.endpoint_count())
+            .collect();
+        assert_eq!(counts, endpoints, "scheme {scheme}");
+        // The chain exercises the FPM path, not only clean and existent
+        // blocks.
+        assert!(prover.respond_batch(&addresses).unwrap().1.fpm_blocks > 0);
+    }
+}
