@@ -164,7 +164,7 @@ fn try_client_run(
 /// # Panics
 ///
 /// Panics if any of the three claims in the module docs fails, or if a
-/// child never comes up within [`DEADLINE`].
+/// child never comes up within `DEADLINE`.
 pub fn run(scale: Scale, seed: u64, child_exe: &Path) -> Crashloop {
     let spec = WorkloadSpec {
         seed,

@@ -6,7 +6,7 @@
 //!
 //! 1. **Pool sizing** — a sweep of the worker count against a fixed
 //!    fan-out of [`CLIENTS`] concurrent light clients: aggregate
-//!    verified queries per second (best of [`REPS`] repetitions) plus
+//!    verified queries per second (best of `REPS` repetitions) plus
 //!    the server's own latency digest and queue pressure;
 //! 2. **C10K** — the event loop holding the scale's target of
 //!    concurrently *open* connections ([`Scale::Small`]: 512,
@@ -80,7 +80,7 @@ const SLOW_MARKER: &str = "1DeliberatelySlow";
 pub struct PoolPoint {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Aggregate verified queries per second (best of [`REPS`] reps).
+    /// Aggregate verified queries per second (best of `REPS` reps).
     pub qps: f64,
     /// Wall time of the best repetition.
     pub time: Duration,
@@ -154,7 +154,7 @@ pub struct Pool {
     pub points: Vec<PoolPoint>,
     /// The C10K open-connection phase.
     pub c10k: OpenConnections,
-    /// One entry per [`LOAD_FRACTIONS`] operating point, in order.
+    /// One entry per `LOAD_FRACTIONS` operating point, in order.
     pub open_loop: Vec<LoadPoint>,
     /// The head-of-line isolation phase.
     pub isolation: Isolation,

@@ -23,6 +23,7 @@ use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 use lvq_merkle::BmtBatchProof;
 
 use crate::fragment::BlockFragment;
+use crate::result::{decode_section, encode_section, section_len, Section};
 
 /// One block's worth of a batched per-block response: the filter is
 /// transmitted once, followed by one fragment per queried address in
@@ -92,7 +93,7 @@ pub struct BatchSegmentBundle {
     /// The shared multi-address BMT proof over the segment.
     pub proof: BmtBatchProof,
     /// One section per queried address, in batch order.
-    pub sections: Vec<Vec<(u64, BlockFragment)>>,
+    pub sections: Vec<Section>,
 }
 
 impl Encodable for BatchSegmentBundle {
@@ -100,28 +101,14 @@ impl Encodable for BatchSegmentBundle {
         self.proof.encode_into(out);
         lvq_codec::write_compact_size(out, self.sections.len() as u64);
         for section in &self.sections {
-            lvq_codec::write_compact_size(out, section.len() as u64);
-            for (height, fragment) in section {
-                lvq_codec::write_compact_size(out, *height);
-                fragment.encode_into(out);
-            }
+            encode_section(section, out);
         }
     }
 
     fn encoded_len(&self) -> usize {
         self.proof.encoded_len()
             + lvq_codec::compact_size_len(self.sections.len() as u64)
-            + self
-                .sections
-                .iter()
-                .map(|section| {
-                    lvq_codec::compact_size_len(section.len() as u64)
-                        + section
-                            .iter()
-                            .map(|(h, f)| lvq_codec::compact_size_len(*h) + f.encoded_len())
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
+            + self.sections.iter().map(|s| section_len(s)).sum::<usize>()
     }
 }
 
@@ -131,14 +118,7 @@ impl Decodable for BatchSegmentBundle {
         let section_count = reader.read_len()?;
         let mut sections = Vec::with_capacity(section_count.min(reader.remaining()));
         for _ in 0..section_count {
-            let count = reader.read_len()?;
-            let mut section = Vec::with_capacity(count.min(reader.remaining()));
-            for _ in 0..count {
-                let height = lvq_codec::read_compact_size(reader)?;
-                let fragment = BlockFragment::decode_from(reader)?;
-                section.push((height, fragment));
-            }
-            sections.push(section);
+            sections.push(decode_section(reader)?);
         }
         Ok(BatchSegmentBundle { proof, sections })
     }

@@ -61,6 +61,7 @@ mod prover;
 mod result;
 mod scheme;
 pub mod segment;
+mod shape;
 mod stats;
 mod verifier;
 

@@ -2,19 +2,14 @@
 
 use lvq_bloom::BloomFilter;
 use lvq_chain::{Address, BlockSource, Chain, InMemoryBlocks, InMemoryTables, TableSource};
-use lvq_merkle::bmt::{self, BmtBatchNode, BmtBatchProof, BmtProofNode};
 
-use crate::batch::{
-    BatchBlockEntry, BatchPerBlockResponse, BatchQueryResponse, BatchSegmentBundle,
-    BatchSegmentedResponse,
-};
+use crate::batch::BatchQueryResponse;
 use crate::error::ProveError;
 use crate::fragment::{BlockFragment, ExistenceProof, TxWithBranch};
-use crate::result::{
-    BlockEntry, PerBlockResponse, QueryResponse, SegmentBundle, SegmentedResponse,
-};
+use crate::result::QueryResponse;
 use crate::scheme::{Scheme, SchemeConfig};
-use crate::segment::{segments, Segment};
+use crate::segment::{map_segments, segments_over};
+use crate::shape::Shape;
 use crate::stats::ProverStats;
 
 /// A full node's query answering engine.
@@ -85,7 +80,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
     /// (wrong scheme, corrupted chain); honest configurations never
     /// fail.
     pub fn respond(&self, address: &Address) -> Result<(QueryResponse, ProverStats), ProveError> {
-        self.respond_over(address, 1, self.chain.tip_height())
+        self.respond_over(std::slice::from_ref(address), 1, self.chain.tip_height())
     }
 
     /// Answers a query restricted to blocks `lo..=hi` (paper §VII-A:
@@ -109,105 +104,17 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         lo: u64,
         hi: u64,
     ) -> Result<(QueryResponse, ProverStats), ProveError> {
-        if lo == 0 || lo > hi || hi > self.chain.tip_height() {
-            return Err(ProveError::InvalidRange {
-                lo,
-                hi,
-                tip: self.chain.tip_height(),
-            });
-        }
-        self.respond_over(address, lo, hi)
-    }
-
-    /// Shared implementation; `lo = 1, hi = 0` encodes the empty chain.
-    fn respond_over(
-        &self,
-        address: &Address,
-        lo: u64,
-        hi: u64,
-    ) -> Result<(QueryResponse, ProverStats), ProveError> {
-        let positions = BloomFilter::bit_positions(self.config.bloom(), address.as_bytes());
-        let mut stats = ProverStats::default();
-        let response = if self.config.scheme().is_per_block() {
-            QueryResponse::PerBlock(
-                self.respond_per_block(address, lo, hi, &positions, &mut stats)?,
-            )
-        } else {
-            QueryResponse::Segmented(
-                self.respond_segmented(address, lo, hi, &positions, &mut stats)?,
-            )
-        };
-        Ok((response, stats))
-    }
-
-    /// Strawman / LVQ-without-BMT: one `(BF, fragment)` entry per block
-    /// (paper §IV-A, Fig. 6).
-    fn respond_per_block(
-        &self,
-        address: &Address,
-        lo: u64,
-        hi: u64,
-        positions: &[u64],
-        stats: &mut ProverStats,
-    ) -> Result<PerBlockResponse, ProveError> {
-        let mut entries = Vec::with_capacity(hi.saturating_sub(lo) as usize + 1);
-        for height in lo..=hi {
-            let filter = self.chain.leaf_filter(height)?;
-            let fragment = if filter.check_positions(positions).is_clean() {
-                BlockFragment::Empty
-            } else {
-                self.resolve_block(height, address, stats)?
-            };
-            stats.fragments.record(&fragment);
-            entries.push(BlockEntry { filter, fragment });
-        }
-        Ok(PerBlockResponse { entries })
-    }
-
-    /// LVQ / LVQ-without-SMT: one merged BMT proof per (sub-)segment
-    /// plus block-level fragments for failed leaves (paper §V).
-    fn respond_segmented(
-        &self,
-        address: &Address,
-        lo: u64,
-        hi: u64,
-        positions: &[u64],
-        stats: &mut ProverStats,
-    ) -> Result<SegmentedResponse, ProveError> {
-        let mut bundles = Vec::new();
-        for seg in segments(hi, self.config.segment_len()) {
-            if seg.hi < lo {
-                // Entirely below the queried range.
-                continue;
-            }
-            let source = self.chain.segment_source(seg.lo, seg.hi)?;
-            let proof = bmt::prove(&source, positions)?;
-            stats.bmt.merge(&proof.stats());
-
-            let mut fragments = Vec::new();
-            for height in failed_leaves(proof.root(), seg.lo, seg.hi) {
-                if height < lo {
-                    // Proven to match, but outside the queried range: no
-                    // block-level resolution is owed.
-                    continue;
-                }
-                let fragment = self.resolve_block(height, address, stats)?;
-                stats.fragments.record(&fragment);
-                fragments.push((height, fragment));
-            }
-            bundles.push(SegmentBundle { proof, fragments });
-        }
-        Ok(SegmentedResponse { segments: bundles })
+        self.check_range(lo, hi)?;
+        self.respond_over(std::slice::from_ref(address), lo, hi)
     }
 
     /// Answers one batched query for several addresses over the whole
     /// chain (the multi-address counterpart of [`Prover::respond`]).
     ///
     /// Under the BMT schemes, each segment receives a single shared
-    /// descent ([`bmt::prove_multi`]) serving every address's bit
-    /// positions; under the per-block schemes, each block's filter is
-    /// included once for all addresses. With the `parallel` feature
-    /// enabled, segment proofs are generated on scoped worker threads.
+    /// descent ([`lvq_merkle::bmt::prove_multi`]) serving every
+    /// address's bit positions; under the per-block schemes, each
+    /// block's filter is included once for all addresses.
     ///
     /// # Errors
     ///
@@ -218,7 +125,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         &self,
         addresses: &[Address],
     ) -> Result<(BatchQueryResponse, ProverStats), ProveError> {
-        self.respond_batch_over(addresses, 1, self.chain.tip_height())
+        self.respond_over(addresses, 1, self.chain.tip_height())
     }
 
     /// Answers a batched query restricted to blocks `lo..=hi` — the
@@ -237,23 +144,27 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         lo: u64,
         hi: u64,
     ) -> Result<(BatchQueryResponse, ProverStats), ProveError> {
-        if lo == 0 || lo > hi || hi > self.chain.tip_height() {
-            return Err(ProveError::InvalidRange {
-                lo,
-                hi,
-                tip: self.chain.tip_height(),
-            });
-        }
-        self.respond_batch_over(addresses, lo, hi)
+        self.check_range(lo, hi)?;
+        self.respond_over(addresses, lo, hi)
     }
 
-    /// Shared implementation; `lo = 1, hi = 0` encodes the empty chain.
-    fn respond_batch_over(
+    fn check_range(&self, lo: u64, hi: u64) -> Result<(), ProveError> {
+        let tip = self.chain.tip_height();
+        if lo == 0 || lo > hi || hi > tip {
+            return Err(ProveError::InvalidRange { lo, hi, tip });
+        }
+        Ok(())
+    }
+
+    /// The one query engine behind every `respond*`: single-address
+    /// queries are its one-address case. `lo = 1, hi = 0` encodes the
+    /// empty chain.
+    fn respond_over<R: Shape>(
         &self,
         addresses: &[Address],
         lo: u64,
         hi: u64,
-    ) -> Result<(BatchQueryResponse, ProverStats), ProveError> {
+    ) -> Result<(R, ProverStats), ProveError> {
         if addresses.is_empty() {
             return Err(ProveError::EmptyBatch);
         }
@@ -263,7 +174,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
             .collect();
         let mut stats = ProverStats::default();
         let response = if self.config.scheme().is_per_block() {
-            BatchQueryResponse::PerBlock(self.respond_batch_per_block(
+            R::per_block(self.respond_per_block::<R>(
                 addresses,
                 lo,
                 hi,
@@ -271,7 +182,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
                 &mut stats,
             )?)
         } else {
-            BatchQueryResponse::Segmented(self.respond_batch_segmented(
+            R::segmented(self.respond_segmented::<R>(
                 addresses,
                 lo,
                 hi,
@@ -282,16 +193,16 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         Ok((response, stats))
     }
 
-    /// Per-block schemes: each block's filter once, then one fragment
-    /// per address.
-    fn respond_batch_per_block(
+    /// Strawman / LVQ-without-BMT: one entry per block carrying its
+    /// filter once and one fragment per address (paper §IV-A, Fig. 6).
+    fn respond_per_block<R: Shape>(
         &self,
         addresses: &[Address],
         lo: u64,
         hi: u64,
         position_sets: &[Vec<u64>],
         stats: &mut ProverStats,
-    ) -> Result<BatchPerBlockResponse, ProveError> {
+    ) -> Result<Vec<R::Entry>, ProveError> {
         let mut entries = Vec::with_capacity(hi.saturating_sub(lo) as usize + 1);
         for height in lo..=hi {
             let filter = self.chain.leaf_filter(height)?;
@@ -305,39 +216,42 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
                 stats.fragments.record(&fragment);
                 fragments.push(fragment);
             }
-            entries.push(BatchBlockEntry { filter, fragments });
+            entries.push(R::entry(filter, fragments));
         }
-        Ok(BatchPerBlockResponse { entries })
+        Ok(entries)
     }
 
-    /// BMT schemes: one shared multi-address proof per (sub-)segment,
-    /// then per-address fragment sections for its matched leaves.
+    /// LVQ / LVQ-without-SMT: one BMT descent per (sub-)segment serving
+    /// every address, then per-address fragment sections for the leaves
+    /// that matched it (paper §V).
     ///
     /// Only segments intersecting `lo..=hi` are included, and failed
     /// leaves below `lo` (a boundary segment's prefix) are owed no
-    /// fragment — the batch analogue of [`Prover::respond_range`]'s
-    /// boundary rule.
-    fn respond_batch_segmented(
+    /// fragment. With the `parallel` feature the segment proofs are
+    /// generated on scoped worker threads; the chain's span-filter cache
+    /// is lock-guarded, so concurrent descents share memoised filters.
+    fn respond_segmented<R: Shape>(
         &self,
         addresses: &[Address],
         lo: u64,
         hi: u64,
         position_sets: &[Vec<u64>],
         stats: &mut ProverStats,
-    ) -> Result<BatchSegmentedResponse, ProveError> {
-        let segs: Vec<Segment> = segments(hi, self.config.segment_len())
-            .into_iter()
-            .filter(|seg| seg.hi >= lo)
-            .collect();
-        let proofs = self.batch_segment_proofs(&segs, position_sets)?;
+    ) -> Result<Vec<R::Bundle>, ProveError> {
+        let segs = segments_over(lo, hi, self.config.segment_len());
+        let proofs = map_segments(segs.len(), |i| -> Result<R::Proof, ProveError> {
+            let source = self.chain.segment_source(segs[i].lo, segs[i].hi)?;
+            Ok(R::prove(&source, position_sets)?)
+        });
 
         let mut bundles = Vec::with_capacity(segs.len());
         for (seg, proof) in segs.iter().zip(proofs) {
-            stats.batch_bmt.merge(&proof.stats());
+            let proof = proof?;
+            stats.bmt.merge(&R::proof_stats(&proof));
             let mut sections = Vec::with_capacity(addresses.len());
-            for (j, address) in addresses.iter().enumerate() {
+            for (address, positions) in addresses.iter().zip(position_sets) {
                 let mut section = Vec::new();
-                for height in batch_failed_leaves(proof.root(), seg.lo, seg.hi, position_sets, j) {
+                for height in R::failed_leaves(&proof, seg, positions) {
                     if height < lo {
                         // Proven to match, but outside the queried
                         // range: no block-level resolution is owed.
@@ -349,52 +263,9 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
                 }
                 sections.push(section);
             }
-            bundles.push(BatchSegmentBundle { proof, sections });
+            bundles.push(R::bundle(proof, sections));
         }
-        Ok(BatchSegmentedResponse { segments: bundles })
-    }
-
-    /// Generates the shared proof for every segment, sequentially.
-    #[cfg(not(feature = "parallel"))]
-    fn batch_segment_proofs(
-        &self,
-        segs: &[Segment],
-        position_sets: &[Vec<u64>],
-    ) -> Result<Vec<BmtBatchProof>, ProveError> {
-        segs.iter()
-            .map(|seg| {
-                let source = self.chain.segment_source(seg.lo, seg.hi)?;
-                Ok(bmt::prove_multi(&source, position_sets)?)
-            })
-            .collect()
-    }
-
-    /// Generates the shared proof for every segment on scoped worker
-    /// threads (one per segment; segments are few and coarse-grained).
-    ///
-    /// The chain's span-filter cache is lock-guarded, so concurrent
-    /// descents share memoised filters instead of recomputing them.
-    #[cfg(feature = "parallel")]
-    fn batch_segment_proofs(
-        &self,
-        segs: &[Segment],
-        position_sets: &[Vec<u64>],
-    ) -> Result<Vec<BmtBatchProof>, ProveError> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = segs
-                .iter()
-                .map(|seg| {
-                    scope.spawn(move || -> Result<BmtBatchProof, ProveError> {
-                        let source = self.chain.segment_source(seg.lo, seg.hi)?;
-                        Ok(bmt::prove_multi(&source, position_sets)?)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("segment proof worker panicked"))
-                .collect()
-        })
+        Ok(bundles)
     }
 
     /// Consults a block body to resolve a failed filter check into the
@@ -449,53 +320,4 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
             })
             .collect()
     }
-}
-
-/// Collects the heights of leaf endpoints whose filters match address
-/// `j`'s positions, in ascending order — the per-address failed leaves
-/// of a shared batch proof.
-fn batch_failed_leaves(
-    node: &BmtBatchNode,
-    lo: u64,
-    hi: u64,
-    position_sets: &[Vec<u64>],
-    j: usize,
-) -> Vec<u64> {
-    fn walk(node: &BmtBatchNode, lo: u64, hi: u64, positions: &[u64], out: &mut Vec<u64>) {
-        match node {
-            BmtBatchNode::Leaf { filter } => {
-                if !filter.check_positions(positions).is_clean() {
-                    out.push(lo);
-                }
-            }
-            BmtBatchNode::CleanNode { .. } => {}
-            BmtBatchNode::Branch { left, right } => {
-                let mid = lo + (hi - lo) / 2;
-                walk(left, lo, mid, positions, out);
-                walk(right, mid + 1, hi, positions, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(node, lo, hi, &position_sets[j], &mut out);
-    out
-}
-
-/// Collects the failed-leaf heights of a proof in ascending order by
-/// mirroring the span arithmetic of the descent.
-fn failed_leaves(node: &BmtProofNode, lo: u64, hi: u64) -> Vec<u64> {
-    fn walk(node: &BmtProofNode, lo: u64, hi: u64, out: &mut Vec<u64>) {
-        match node {
-            BmtProofNode::CleanLeaf { .. } | BmtProofNode::CleanNode { .. } => {}
-            BmtProofNode::FailedLeaf { .. } => out.push(lo),
-            BmtProofNode::Branch { left, right } => {
-                let mid = lo + (hi - lo) / 2;
-                walk(left, lo, mid, out);
-                walk(right, mid + 1, hi, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(node, lo, hi, &mut out);
-    out
 }

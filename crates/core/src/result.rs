@@ -75,36 +75,56 @@ pub struct SegmentBundle {
 impl Encodable for SegmentBundle {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.proof.encode_into(out);
-        lvq_codec::write_compact_size(out, self.fragments.len() as u64);
-        for (height, fragment) in &self.fragments {
-            lvq_codec::write_compact_size(out, *height);
-            fragment.encode_into(out);
-        }
+        encode_section(&self.fragments, out);
     }
 
     fn encoded_len(&self) -> usize {
-        self.proof.encoded_len()
-            + lvq_codec::compact_size_len(self.fragments.len() as u64)
-            + self
-                .fragments
-                .iter()
-                .map(|(h, f)| lvq_codec::compact_size_len(*h) + f.encoded_len())
-                .sum::<usize>()
+        self.proof.encoded_len() + section_len(&self.fragments)
     }
 }
 
 impl Decodable for SegmentBundle {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let proof = BmtProof::decode_from(reader)?;
-        let count = reader.read_len()?;
-        let mut fragments = Vec::with_capacity(count.min(reader.remaining()));
-        for _ in 0..count {
-            let height = lvq_codec::read_compact_size(reader)?;
-            let fragment = BlockFragment::decode_from(reader)?;
-            fragments.push((height, fragment));
-        }
-        Ok(SegmentBundle { proof, fragments })
+        Ok(SegmentBundle {
+            proof: BmtProof::decode_from(reader)?,
+            fragments: decode_section(reader)?,
+        })
     }
+}
+
+/// One address's `(height, fragment)` pairs for a segment's failed
+/// leaves, in height order: a [`SegmentBundle`]'s fragments, or one
+/// section of a [`crate::BatchSegmentBundle`].
+pub(crate) type Section = Vec<(u64, BlockFragment)>;
+
+/// Encodes a section: its length, then each height (compact) and
+/// fragment.
+pub(crate) fn encode_section(section: &[(u64, BlockFragment)], out: &mut Vec<u8>) {
+    lvq_codec::write_compact_size(out, section.len() as u64);
+    for (height, fragment) in section {
+        lvq_codec::write_compact_size(out, *height);
+        fragment.encode_into(out);
+    }
+}
+
+/// The encoded length of a section.
+pub(crate) fn section_len(section: &[(u64, BlockFragment)]) -> usize {
+    lvq_codec::compact_size_len(section.len() as u64)
+        + section
+            .iter()
+            .map(|(h, f)| lvq_codec::compact_size_len(*h) + f.encoded_len())
+            .sum::<usize>()
+}
+
+/// Decodes a section.
+pub(crate) fn decode_section(reader: &mut Reader<'_>) -> Result<Section, DecodeError> {
+    let count = reader.read_len()?;
+    let mut section = Vec::with_capacity(count.min(reader.remaining()));
+    for _ in 0..count {
+        let height = lvq_codec::read_compact_size(reader)?;
+        section.push((height, BlockFragment::decode_from(reader)?));
+    }
+    Ok(section)
 }
 
 /// Response of the BMT schemes (LVQ without SMT, full LVQ): one bundle

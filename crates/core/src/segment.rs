@@ -94,6 +94,49 @@ pub fn segments(tip: u64, segment_len: u64) -> Vec<Segment> {
     out
 }
 
+/// The segments of a chain with tip `hi` that intersect `lo..=hi` — the
+/// ones a range query's response carries, in order. A boundary segment
+/// may reach below `lo`.
+pub(crate) fn segments_over(lo: u64, hi: u64, segment_len: u64) -> Vec<Segment> {
+    let mut segs = segments(hi, segment_len);
+    segs.retain(|seg| seg.hi >= lo);
+    segs
+}
+
+/// Runs `f` over `0..count` (one call per segment), preserving order.
+///
+/// With the `parallel` feature the calls run on scoped worker threads,
+/// one per segment (segments are few and coarse-grained); the prover's
+/// proofs and the verifier's checks both go through here.
+#[cfg(not(feature = "parallel"))]
+pub(crate) fn map_segments<T, E, F>(count: usize, f: F) -> Vec<Result<T, E>>
+where
+    F: Fn(usize) -> Result<T, E>,
+{
+    (0..count).map(f).collect()
+}
+
+/// Parallel variant: see the sequential twin above.
+#[cfg(feature = "parallel")]
+pub(crate) fn map_segments<T, E, F>(count: usize, f: F) -> Vec<Result<T, E>>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize) -> Result<T, E> + Sync,
+{
+    if count <= 1 {
+        return (0..count).map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..count).map(|i| scope.spawn(move || f(i))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("segment worker panicked"))
+            .collect()
+    })
+}
+
 /// In-segment position (1-based) of `height`: the paper's `l`, with
 /// `l = M` for the last block of a complete segment.
 pub fn segment_position(height: u64, segment_len: u64) -> u64 {

@@ -1,6 +1,6 @@
 //! Prover-side statistics (paper Figs. 14–16).
 
-use lvq_merkle::{BmtBatchProofStats, BmtProofStats};
+use lvq_merkle::BmtProofStats;
 
 use crate::fragment::BlockFragment;
 
@@ -41,12 +41,9 @@ impl FragmentCounts {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProverStats {
     /// Merged BMT proof statistics over all segments (zero for per-block
-    /// schemes). `bmt.endpoint_count()` is the quantity of paper
-    /// Figs. 15/16.
+    /// schemes), for single-address and batched queries alike.
+    /// `bmt.endpoint_count()` is the quantity of paper Figs. 15/16.
     pub bmt: BmtProofStats,
-    /// Shared multi-address BMT proof statistics (zero outside batched
-    /// queries).
-    pub batch_bmt: BmtBatchProofStats,
     /// Fragment census.
     pub fragments: FragmentCounts,
     /// Blocks whose bodies the prover had to consult.

@@ -5,45 +5,13 @@ use std::collections::BTreeSet;
 use lvq_bloom::BloomFilter;
 use lvq_chain::{balance_of, Address, BalanceBreakdown, BlockHeader, Transaction};
 
-use crate::batch::{BatchQueryResponse, BatchSegmentBundle};
+use crate::batch::BatchQueryResponse;
 use crate::error::QueryError;
 use crate::fragment::BlockFragment;
-use crate::result::{QueryResponse, SegmentBundle};
+use crate::result::QueryResponse;
 use crate::scheme::{Scheme, SchemeConfig};
-use crate::segment::{segments, Segment};
-
-/// Runs `f` over `0..count`, preserving order.
-///
-/// With the `parallel` feature the items run on scoped worker threads
-/// (one per segment; segments are few and coarse-grained) — the
-/// light-side counterpart of the prover's parallel segment proofs.
-#[cfg(not(feature = "parallel"))]
-fn map_segments<T, F>(count: usize, f: F) -> Vec<Result<T, QueryError>>
-where
-    F: Fn(usize) -> Result<T, QueryError>,
-{
-    (0..count).map(f).collect()
-}
-
-/// Parallel variant: see the sequential twin above.
-#[cfg(feature = "parallel")]
-fn map_segments<T, F>(count: usize, f: F) -> Vec<Result<T, QueryError>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, QueryError> + Sync,
-{
-    if count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..count).map(|i| scope.spawn(move || f(i))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("segment verify worker panicked"))
-            .collect()
-    })
-}
+use crate::segment::{map_segments, segments_over, Segment};
+use crate::shape::{Body, Shape};
 
 /// How much the verification established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +34,34 @@ pub struct VerifiedHistory {
     pub balance: BalanceBreakdown,
     /// Whether completeness was established.
     pub completeness: Completeness,
+}
+
+/// What verification has proven so far for one address.
+#[derive(Debug, Clone, Default)]
+struct Found {
+    transactions: Vec<(u64, Transaction)>,
+    correctness_only: bool,
+}
+
+impl Found {
+    fn merge(&mut self, other: Found) {
+        self.transactions.extend(other.transactions);
+        self.correctness_only |= other.correctness_only;
+    }
+
+    fn into_history(mut self, address: &Address) -> VerifiedHistory {
+        self.transactions.sort_by_key(|(h, _)| *h);
+        let balance = balance_of(address, self.transactions.iter().map(|(_, t)| t));
+        VerifiedHistory {
+            transactions: self.transactions,
+            balance,
+            completeness: if self.correctness_only {
+                Completeness::CorrectnessOnly
+            } else {
+                Completeness::Complete
+            },
+        }
+    }
 }
 
 /// A light node's verification engine: stored headers plus the scheme
@@ -201,7 +197,13 @@ impl LightClient {
         address: &Address,
         response: &QueryResponse,
     ) -> Result<VerifiedHistory, QueryError> {
-        self.verify_over(address, response, 1, self.tip_height())
+        self.verify_over(
+            std::slice::from_ref(address),
+            response,
+            1,
+            self.tip_height(),
+        )
+        .map(only)
     }
 
     /// Verifies a response restricted to blocks `lo..=hi` (the range
@@ -222,14 +224,9 @@ impl LightClient {
         hi: u64,
         response: &QueryResponse,
     ) -> Result<VerifiedHistory, QueryError> {
-        if lo == 0 || lo > hi || hi > self.tip_height() {
-            return Err(QueryError::InvalidRange {
-                lo,
-                hi,
-                tip: self.tip_height(),
-            });
-        }
-        self.verify_over(address, response, lo, hi)
+        self.check_range(lo, hi)?;
+        self.verify_over(std::slice::from_ref(address), response, lo, hi)
+            .map(only)
     }
 
     /// Verifies a batched multi-address response, returning one
@@ -253,7 +250,7 @@ impl LightClient {
         addresses: &[Address],
         response: &BatchQueryResponse,
     ) -> Result<Vec<VerifiedHistory>, QueryError> {
-        self.verify_batch_over(addresses, response, 1, self.tip_height())
+        self.verify_over(addresses, response, 1, self.tip_height())
     }
 
     /// Verifies a batched response restricted to blocks `lo..=hi` — the
@@ -272,21 +269,25 @@ impl LightClient {
         hi: u64,
         response: &BatchQueryResponse,
     ) -> Result<Vec<VerifiedHistory>, QueryError> {
-        if lo == 0 || lo > hi || hi > self.tip_height() {
-            return Err(QueryError::InvalidRange {
-                lo,
-                hi,
-                tip: self.tip_height(),
-            });
-        }
-        self.verify_batch_over(addresses, response, lo, hi)
+        self.check_range(lo, hi)?;
+        self.verify_over(addresses, response, lo, hi)
     }
 
-    /// Shared implementation; `lo = 1, hi = 0` encodes the empty chain.
-    fn verify_batch_over(
+    fn check_range(&self, lo: u64, hi: u64) -> Result<(), QueryError> {
+        let tip = self.tip_height();
+        if lo == 0 || lo > hi || hi > tip {
+            return Err(QueryError::InvalidRange { lo, hi, tip });
+        }
+        Ok(())
+    }
+
+    /// The one verification engine behind every `verify*`: a
+    /// single-address response is its one-address case. `lo = 1, hi = 0`
+    /// encodes the empty chain.
+    fn verify_over<R: Shape>(
         &self,
         addresses: &[Address],
-        response: &BatchQueryResponse,
+        response: &R,
         lo: u64,
         hi: u64,
     ) -> Result<Vec<VerifiedHistory>, QueryError> {
@@ -297,25 +298,24 @@ impl LightClient {
             .iter()
             .map(|a| BloomFilter::bit_positions(self.config.bloom(), a.as_bytes()))
             .collect();
-        let n = addresses.len();
-        let mut collected: Vec<Vec<(u64, Transaction)>> = vec![Vec::new(); n];
-        let mut correctness_only = vec![false; n];
+        let mut found = vec![Found::default(); addresses.len()];
 
-        match (self.config.scheme().is_per_block(), response) {
-            (true, BatchQueryResponse::PerBlock(r)) => {
+        match (self.config.scheme().is_per_block(), response.body()) {
+            (true, Body::PerBlock(entries)) => {
                 let expected = hi.saturating_sub(lo.saturating_sub(1));
-                if r.entries.len() as u64 != expected {
+                if entries.len() as u64 != expected {
                     return Err(QueryError::WrongEntryCount {
-                        got: r.entries.len() as u64,
+                        got: entries.len() as u64,
                         expected,
                     });
                 }
-                for (i, entry) in r.entries.iter().enumerate() {
+                for (i, entry) in entries.iter().enumerate() {
                     let height = lo + i as u64;
-                    if entry.fragments.len() != n {
+                    let (filter, fragments) = R::entry_parts(entry);
+                    if fragments.len() != addresses.len() {
                         return Err(QueryError::SectionCountMismatch {
-                            got: entry.fragments.len() as u64,
-                            expected: n as u64,
+                            got: fragments.len() as u64,
+                            expected: addresses.len() as u64,
                         });
                     }
                     let header = &self.headers[(height - 1) as usize];
@@ -327,152 +327,71 @@ impl LightClient {
                                 height,
                                 what: "bloom filter hash",
                             })?;
-                    if entry.filter.params() != self.config.bloom() {
+                    if filter.params() != self.config.bloom() {
                         return Err(QueryError::FilterParamsMismatch { height });
                     }
-                    if entry.filter.content_hash() != committed {
+                    if filter.content_hash() != committed {
                         return Err(QueryError::FilterHashMismatch { height });
                     }
-                    for (j, (address, positions)) in
-                        addresses.iter().zip(&position_sets).enumerate()
+                    for (((address, positions), fragment), found) in addresses
+                        .iter()
+                        .zip(&position_sets)
+                        .zip(fragments)
+                        .zip(&mut found)
                     {
-                        let fragment = &entry.fragments[j];
-                        if entry.filter.check_positions(positions).is_clean() {
+                        if filter.check_positions(positions).is_clean() {
                             if *fragment != BlockFragment::Empty {
                                 return Err(QueryError::UnexpectedFragment { height });
                             }
                         } else {
-                            let txs = self.verify_fragment(height, address, fragment)?;
-                            if matches!(fragment, BlockFragment::MerkleBranches(_)) {
-                                correctness_only[j] = true;
-                            }
-                            collected[j].extend(txs.into_iter().map(|t| (height, t)));
+                            self.absorb(found, height, address, fragment)?;
                         }
                     }
                 }
             }
-            (false, BatchQueryResponse::Segmented(r)) => {
-                let segs: Vec<Segment> = segments(hi, self.config.segment_len())
-                    .into_iter()
-                    .filter(|seg| seg.hi >= lo)
-                    .collect();
-                if r.segments.len() != segs.len() {
+            (false, Body::Segmented(bundles)) => {
+                let segs = segments_over(lo, hi, self.config.segment_len());
+                if bundles.len() != segs.len() {
                     return Err(QueryError::SegmentMismatch);
                 }
                 let per_segment = map_segments(segs.len(), |i| {
-                    self.verify_batch_segment(
-                        addresses,
-                        &position_sets,
-                        &segs[i],
-                        &r.segments[i],
-                        lo,
-                    )
+                    self.verify_segment::<R>(addresses, &position_sets, &segs[i], &bundles[i], lo)
                 });
                 for result in per_segment {
-                    let (sections, flags) = result?;
-                    for (j, (txs, flag)) in sections.into_iter().zip(flags).enumerate() {
-                        collected[j].extend(txs);
-                        correctness_only[j] |= flag;
+                    for (found, part) in found.iter_mut().zip(result?) {
+                        found.merge(part);
                     }
                 }
             }
             _ => return Err(QueryError::WrongResponseKind),
         }
 
-        Ok(collected
+        Ok(found
             .into_iter()
             .zip(addresses)
-            .zip(correctness_only)
-            .map(|((mut txs, address), partial)| {
-                txs.sort_by_key(|(h, _)| *h);
-                let balance = balance_of(address, txs.iter().map(|(_, t)| t));
-                VerifiedHistory {
-                    transactions: txs,
-                    balance,
-                    completeness: if partial {
-                        Completeness::CorrectnessOnly
-                    } else {
-                        Completeness::Complete
-                    },
-                }
-            })
+            .map(|(found, address)| found.into_history(address))
             .collect())
     }
 
-    /// Verifies one segment of a single-address segmented response.
-    ///
-    /// Returns the `(height, transaction)` list the segment proves plus
-    /// a correctness-only flag.
-    fn verify_segment(
-        &self,
-        address: &Address,
-        positions: &[u64],
-        seg: &Segment,
-        bundle: &SegmentBundle,
-        lo: u64,
-    ) -> Result<(Vec<(u64, Transaction)>, bool), QueryError> {
-        let header = &self.headers[(seg.hi - 1) as usize];
-        let root = header
-            .commitments
-            .bmt_root
-            .ok_or(QueryError::MissingCommitment {
-                height: seg.hi,
-                what: "bmt root",
-            })?;
-        let coverage = bundle
-            .proof
-            .verify(seg.lo, seg.len(), &root, self.config.bloom(), positions)
-            .map_err(|source| QueryError::Bmt {
-                segment_hi: seg.hi,
-                source,
-            })?;
-        // The failed leaves inside the queried range and the supplied
-        // fragments must agree exactly — a prover cannot silently drop
-        // a block whose filter matched. (Failed leaves below `lo`
-        // belong to a boundary segment's prefix and are outside the
-        // query.)
-        let supplied: Vec<u64> = bundle.fragments.iter().map(|(h, _)| *h).collect();
-        let owed: Vec<u64> = coverage
-            .failed_leaves
-            .iter()
-            .copied()
-            .filter(|&h| h >= lo)
-            .collect();
-        if supplied != owed {
-            return Err(QueryError::FragmentSetMismatch);
-        }
-        let mut collected = Vec::new();
-        let mut correctness_only = false;
-        for (height, fragment) in &bundle.fragments {
-            let txs = self.verify_fragment(*height, address, fragment)?;
-            if matches!(fragment, BlockFragment::MerkleBranches(_)) {
-                correctness_only = true;
-            }
-            collected.extend(txs.into_iter().map(|t| (*height, t)));
-        }
-        Ok((collected, correctness_only))
-    }
-
-    /// Verifies one segment of a batched segmented response: the shared
-    /// proof against every address's positions, then each address's
-    /// fragment section against exactly its in-range matched leaves.
-    ///
-    /// Returns per-address `(height, transaction)` lists plus a
-    /// per-address correctness-only flag.
-    #[allow(clippy::type_complexity)]
-    fn verify_batch_segment(
+    /// Verifies one segment of a segmented response: the proof against
+    /// every address's positions, then each address's fragment section
+    /// against exactly its in-range failed leaves — a prover cannot
+    /// silently drop a block whose filter matched. (Failed leaves below
+    /// `lo` belong to a boundary segment's prefix and are outside the
+    /// query.)
+    fn verify_segment<R: Shape>(
         &self,
         addresses: &[Address],
         position_sets: &[Vec<u64>],
         seg: &Segment,
-        bundle: &BatchSegmentBundle,
+        bundle: &R::Bundle,
         lo: u64,
-    ) -> Result<(Vec<Vec<(u64, Transaction)>>, Vec<bool>), QueryError> {
-        let n = addresses.len();
-        if bundle.sections.len() != n {
+    ) -> Result<Vec<Found>, QueryError> {
+        let sections = R::sections(bundle);
+        if sections.len() != addresses.len() {
             return Err(QueryError::SectionCountMismatch {
-                got: bundle.sections.len() as u64,
-                expected: n as u64,
+                got: sections.len() as u64,
+                expected: addresses.len() as u64,
             });
         }
         let header = &self.headers[(seg.hi - 1) as usize];
@@ -483,125 +402,45 @@ impl LightClient {
                 height: seg.hi,
                 what: "bmt root",
             })?;
-        let coverages = bundle
-            .proof
-            .verify(seg.lo, seg.len(), &root, self.config.bloom(), position_sets)
+        let coverages = R::verify_proof(bundle, seg, &root, self.config.bloom(), position_sets)
             .map_err(|source| QueryError::Bmt {
                 segment_hi: seg.hi,
                 source,
             })?;
-        let mut collected = vec![Vec::new(); n];
-        let mut correctness_only = vec![false; n];
-        for (j, (address, coverage)) in addresses.iter().zip(&coverages).enumerate() {
-            // Per address: the supplied section must account for
-            // exactly the in-range leaves the shared proof shows
-            // matching this address's positions. (Failed leaves below
-            // `lo` belong to a boundary segment's prefix and are
-            // outside the query.)
-            let section = &bundle.sections[j];
-            let supplied: Vec<u64> = section.iter().map(|(h, _)| *h).collect();
-            let owed: Vec<u64> = coverage
-                .failed_leaves
-                .iter()
-                .copied()
-                .filter(|&h| h >= lo)
-                .collect();
-            if supplied != owed {
+        let mut found = vec![Found::default(); addresses.len()];
+        for (((address, coverage), section), found) in addresses
+            .iter()
+            .zip(&coverages)
+            .zip(sections)
+            .zip(&mut found)
+        {
+            let supplied = section.iter().map(|(h, _)| *h);
+            let owed = coverage.failed_leaves.iter().copied().filter(|&h| h >= lo);
+            if !supplied.eq(owed) {
                 return Err(QueryError::FragmentSetMismatch);
             }
             for (height, fragment) in section {
-                let txs = self.verify_fragment(*height, address, fragment)?;
-                if matches!(fragment, BlockFragment::MerkleBranches(_)) {
-                    correctness_only[j] = true;
-                }
-                collected[j].extend(txs.into_iter().map(|t| (*height, t)));
+                self.absorb(found, *height, address, fragment)?;
             }
         }
-        Ok((collected, correctness_only))
+        Ok(found)
     }
 
-    /// Shared implementation; `lo = 1, hi = 0` encodes the empty chain.
-    fn verify_over(
+    /// Verifies a fragment owed for `address` at `height` and records
+    /// what it proves.
+    fn absorb(
         &self,
+        found: &mut Found,
+        height: u64,
         address: &Address,
-        response: &QueryResponse,
-        lo: u64,
-        hi: u64,
-    ) -> Result<VerifiedHistory, QueryError> {
-        let positions = BloomFilter::bit_positions(self.config.bloom(), address.as_bytes());
-        let mut collected: Vec<(u64, Transaction)> = Vec::new();
-        let mut correctness_only = false;
-
-        match (self.config.scheme().is_per_block(), response) {
-            (true, QueryResponse::PerBlock(r)) => {
-                let expected = hi.saturating_sub(lo.saturating_sub(1));
-                if r.entries.len() as u64 != expected {
-                    return Err(QueryError::WrongEntryCount {
-                        got: r.entries.len() as u64,
-                        expected,
-                    });
-                }
-                for (i, entry) in r.entries.iter().enumerate() {
-                    let height = lo + i as u64;
-                    let header = &self.headers[(height - 1) as usize];
-                    let committed =
-                        header
-                            .commitments
-                            .bf_hash
-                            .ok_or(QueryError::MissingCommitment {
-                                height,
-                                what: "bloom filter hash",
-                            })?;
-                    if entry.filter.params() != self.config.bloom() {
-                        return Err(QueryError::FilterParamsMismatch { height });
-                    }
-                    if entry.filter.content_hash() != committed {
-                        return Err(QueryError::FilterHashMismatch { height });
-                    }
-                    if entry.filter.check_positions(&positions).is_clean() {
-                        if entry.fragment != BlockFragment::Empty {
-                            return Err(QueryError::UnexpectedFragment { height });
-                        }
-                    } else {
-                        let txs = self.verify_fragment(height, address, &entry.fragment)?;
-                        if matches!(entry.fragment, BlockFragment::MerkleBranches(_)) {
-                            correctness_only = true;
-                        }
-                        collected.extend(txs.into_iter().map(|t| (height, t)));
-                    }
-                }
-            }
-            (false, QueryResponse::Segmented(r)) => {
-                let segs: Vec<Segment> = segments(hi, self.config.segment_len())
-                    .into_iter()
-                    .filter(|seg| seg.hi >= lo)
-                    .collect();
-                if r.segments.len() != segs.len() {
-                    return Err(QueryError::SegmentMismatch);
-                }
-                let per_segment = map_segments(segs.len(), |i| {
-                    self.verify_segment(address, &positions, &segs[i], &r.segments[i], lo)
-                });
-                for result in per_segment {
-                    let (txs, flag) = result?;
-                    collected.extend(txs);
-                    correctness_only |= flag;
-                }
-            }
-            _ => return Err(QueryError::WrongResponseKind),
-        }
-
-        collected.sort_by_key(|(h, _)| *h);
-        let balance = balance_of(address, collected.iter().map(|(_, t)| t));
-        Ok(VerifiedHistory {
-            transactions: collected,
-            balance,
-            completeness: if correctness_only {
-                Completeness::CorrectnessOnly
-            } else {
-                Completeness::Complete
-            },
-        })
+        fragment: &BlockFragment,
+    ) -> Result<(), QueryError> {
+        let txs = self.verify_fragment(height, address, fragment)?;
+        found.correctness_only |= matches!(fragment, BlockFragment::MerkleBranches(_));
+        found
+            .transactions
+            .extend(txs.into_iter().map(|t| (height, t)));
+        Ok(())
     }
 
     /// Verifies one block-level fragment, returning the transactions it
@@ -730,6 +569,11 @@ impl LightClient {
         }
         Ok(())
     }
+}
+
+/// The history of a single-address verification.
+fn only(mut histories: Vec<VerifiedHistory>) -> VerifiedHistory {
+    histories.pop().expect("one address, one history")
 }
 
 #[cfg(test)]

@@ -22,11 +22,10 @@ use lvq_bloom::{BloomFilter, BloomParams};
 use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 use lvq_crypto::Hash256;
 
-use super::{internal_hash, is_power_of_two, leaf_hash, BmtCoverage, BmtError, BmtSource};
+use super::engine::{decode_node, encode_node, node_len, NodeView, ProofNode, TAG_LEAF};
+use super::{BmtCoverage, BmtError, BmtSource, BmtTreeProof};
 
-/// Maximum tree depth accepted when decoding untrusted proofs (matches
-/// [`super::BmtProofNode`]).
-const MAX_DEPTH: u32 = 40;
+const TAG_BRANCH: u8 = 2;
 
 /// One node of a shared multi-address BMT proof.
 ///
@@ -65,56 +64,53 @@ pub enum BmtBatchNode {
 }
 
 /// A shared multi-address proof over one BMT (one segment in LVQ).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BmtBatchProof {
-    root: BmtBatchNode,
-}
+pub type BmtBatchProof = BmtTreeProof<BmtBatchNode>;
 
-/// Size and shape statistics of a shared batch proof.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BmtBatchProofStats {
-    /// Leaf endpoints (clean or matched is per-address).
-    pub leaf_endpoints: u64,
-    /// Internal endpoints clean for every queried set.
-    pub clean_nodes: u64,
-    /// Expanded internal nodes.
-    pub branch_nodes: u64,
-    /// Bytes of Bloom filter material in the encoding.
-    pub filter_bytes: u64,
-    /// Bytes of child hashes in the encoding.
-    pub hash_bytes: u64,
-}
+impl ProofNode for BmtBatchNode {
+    // Leaves are untagged: each address classifies them from the filter.
+    const FAILED_LEAF_TAG: u8 = TAG_LEAF;
+    const BRANCH_TAG: u8 = TAG_BRANCH;
 
-impl BmtBatchProofStats {
-    /// Total endpoint nodes (the analogue of
-    /// [`super::BmtProofStats::endpoint_count`]).
-    pub fn endpoint_count(&self) -> u64 {
-        self.leaf_endpoints + self.clean_nodes
+    fn leaf(filter: BloomFilter, _failed: bool) -> Self {
+        BmtBatchNode::Leaf { filter }
     }
 
-    /// Accumulates another proof's statistics (for multi-segment
-    /// batches).
-    pub fn merge(&mut self, other: &BmtBatchProofStats) {
-        self.leaf_endpoints += other.leaf_endpoints;
-        self.clean_nodes += other.clean_nodes;
-        self.branch_nodes += other.branch_nodes;
-        self.filter_bytes += other.filter_bytes;
-        self.hash_bytes += other.hash_bytes;
+    fn clean_node(filter: BloomFilter, left_hash: Hash256, right_hash: Hash256) -> Self {
+        BmtBatchNode::CleanNode {
+            filter,
+            left_hash,
+            right_hash,
+        }
+    }
+
+    fn branch(left: Self, right: Self) -> Self {
+        BmtBatchNode::Branch {
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
+    fn view(&self) -> NodeView<'_, Self> {
+        match self {
+            BmtBatchNode::Leaf { filter } => NodeView::Leaf {
+                filter,
+                failed: None,
+            },
+            BmtBatchNode::CleanNode {
+                filter,
+                left_hash,
+                right_hash,
+            } => NodeView::CleanNode {
+                filter,
+                left_hash,
+                right_hash,
+            },
+            BmtBatchNode::Branch { left, right } => NodeView::Branch { left, right },
+        }
     }
 }
 
 impl BmtBatchProof {
-    /// Wraps a hand-built proof tree (tests and adversarial
-    /// simulations).
-    pub fn from_root(root: BmtBatchNode) -> Self {
-        BmtBatchProof { root }
-    }
-
-    /// The proof's root node.
-    pub fn root(&self) -> &BmtBatchNode {
-        &self.root
-    }
-
     /// Verifies the shared proof against a committed BMT for every
     /// queried position set at once.
     ///
@@ -137,116 +133,7 @@ impl BmtBatchProof {
         params: BloomParams,
         position_sets: &[Vec<u64>],
     ) -> Result<Vec<BmtCoverage>, BmtError> {
-        if !is_power_of_two(leaf_count) {
-            return Err(BmtError::LeafCountNotPowerOfTwo { count: leaf_count });
-        }
-        let mut coverages = vec![BmtCoverage::default(); position_sets.len()];
-        let (hash, _filter) = Self::verify_node(
-            &self.root,
-            first_leaf,
-            first_leaf + leaf_count - 1,
-            params,
-            position_sets,
-            &mut coverages,
-        )?;
-        if hash != *expected_root {
-            return Err(BmtError::RootMismatch);
-        }
-        Ok(coverages)
-    }
-
-    fn verify_node(
-        node: &BmtBatchNode,
-        lo: u64,
-        hi: u64,
-        params: BloomParams,
-        position_sets: &[Vec<u64>],
-        coverages: &mut [BmtCoverage],
-    ) -> Result<(Hash256, BloomFilter), BmtError> {
-        match node {
-            BmtBatchNode::Leaf { filter } => {
-                if lo != hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "batch leaf above leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                for (positions, coverage) in position_sets.iter().zip(coverages.iter_mut()) {
-                    if filter.check_positions(positions).is_clean() {
-                        coverage.clean_ranges.push((lo, hi));
-                    } else {
-                        coverage.failed_leaves.push(lo);
-                    }
-                }
-                Ok((leaf_hash(filter), filter.clone()))
-            }
-            BmtBatchNode::CleanNode {
-                filter,
-                left_hash,
-                right_hash,
-            } => {
-                if lo == hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "internal clean node at leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                for (positions, coverage) in position_sets.iter().zip(coverages.iter_mut()) {
-                    // Every set must be individually clean; union
-                    // cleanliness is NOT enough (see module docs).
-                    if !filter.check_positions(positions).is_clean() {
-                        return Err(BmtError::NotClean);
-                    }
-                    coverage.clean_ranges.push((lo, hi));
-                }
-                Ok((internal_hash(left_hash, right_hash, filter), filter.clone()))
-            }
-            BmtBatchNode::Branch { left, right } => {
-                if lo == hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "branch node at leaf level",
-                    });
-                }
-                let mid = lo + (hi - lo) / 2;
-                let (lh, lf) = Self::verify_node(left, lo, mid, params, position_sets, coverages)?;
-                let (rh, rf) =
-                    Self::verify_node(right, mid + 1, hi, params, position_sets, coverages)?;
-                let filter = BloomFilter::union(&lf, &rf).map_err(|_| BmtError::ParamsMismatch)?;
-                Ok((internal_hash(&lh, &rh, &filter), filter))
-            }
-        }
-    }
-
-    fn check_filter(filter: &BloomFilter, params: BloomParams) -> Result<(), BmtError> {
-        if filter.params() != params {
-            return Err(BmtError::ParamsMismatch);
-        }
-        Ok(())
-    }
-
-    /// Computes the proof's size and shape statistics.
-    pub fn stats(&self) -> BmtBatchProofStats {
-        fn walk(node: &BmtBatchNode, stats: &mut BmtBatchProofStats) {
-            match node {
-                BmtBatchNode::Leaf { filter } => {
-                    stats.leaf_endpoints += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                }
-                BmtBatchNode::CleanNode { filter, .. } => {
-                    stats.clean_nodes += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                    stats.hash_bytes += 64;
-                }
-                BmtBatchNode::Branch { left, right } => {
-                    stats.branch_nodes += 1;
-                    walk(left, stats);
-                    walk(right, stats);
-                }
-            }
-        }
-        let mut stats = BmtBatchProofStats::default();
-        walk(&self.root, &mut stats);
-        stats
+        self.verify_sets(first_leaf, leaf_count, expected_root, params, position_sets)
     }
 }
 
@@ -270,137 +157,22 @@ pub fn prove_multi<S: BmtSource + ?Sized>(
     if position_sets.is_empty() {
         return Err(BmtError::EmptyTree);
     }
-    let (lo, hi) = source.span();
-    let count = hi - lo + 1;
-    if !is_power_of_two(count) {
-        return Err(BmtError::LeafCountNotPowerOfTwo { count });
-    }
-
-    fn descend<S: BmtSource + ?Sized>(
-        source: &S,
-        lo: u64,
-        hi: u64,
-        position_sets: &[Vec<u64>],
-    ) -> BmtBatchNode {
-        let filter = source.filter(lo, hi);
-        let any_matched = position_sets
-            .iter()
-            .any(|positions| !filter.check_positions(positions).is_clean());
-        match (any_matched, lo == hi) {
-            (_, true) => BmtBatchNode::Leaf { filter },
-            (false, false) => {
-                let mid = lo + (hi - lo) / 2;
-                BmtBatchNode::CleanNode {
-                    filter,
-                    left_hash: source.node_hash(lo, mid),
-                    right_hash: source.node_hash(mid + 1, hi),
-                }
-            }
-            (true, false) => {
-                let mid = lo + (hi - lo) / 2;
-                BmtBatchNode::Branch {
-                    left: Box::new(descend(source, lo, mid, position_sets)),
-                    right: Box::new(descend(source, mid + 1, hi, position_sets)),
-                }
-            }
-        }
-    }
-
-    Ok(BmtBatchProof {
-        root: descend(source, lo, hi, position_sets),
-    })
+    BmtBatchProof::prove(source, position_sets)
 }
-
-const TAG_LEAF: u8 = 0;
-const TAG_CLEAN_NODE: u8 = 1;
-const TAG_BRANCH: u8 = 2;
 
 impl Encodable for BmtBatchNode {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            BmtBatchNode::Leaf { filter } => {
-                out.push(TAG_LEAF);
-                filter.encode_into(out);
-            }
-            BmtBatchNode::CleanNode {
-                filter,
-                left_hash,
-                right_hash,
-            } => {
-                out.push(TAG_CLEAN_NODE);
-                filter.encode_into(out);
-                left_hash.encode_into(out);
-                right_hash.encode_into(out);
-            }
-            BmtBatchNode::Branch { left, right } => {
-                out.push(TAG_BRANCH);
-                left.encode_into(out);
-                right.encode_into(out);
-            }
-        }
+        encode_node(self, out);
     }
 
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            BmtBatchNode::Leaf { filter } => filter.encoded_len(),
-            BmtBatchNode::CleanNode { filter, .. } => filter.encoded_len() + 64,
-            BmtBatchNode::Branch { left, right } => left.encoded_len() + right.encoded_len(),
-        }
-    }
-}
-
-impl BmtBatchNode {
-    fn decode_bounded(reader: &mut Reader<'_>, depth: u32) -> Result<Self, DecodeError> {
-        if depth > MAX_DEPTH {
-            return Err(DecodeError::InvalidValue {
-                what: "bmt batch proof depth",
-                found: u64::from(depth),
-            });
-        }
-        Ok(match reader.read_u8()? {
-            TAG_LEAF => BmtBatchNode::Leaf {
-                filter: BloomFilter::decode_from(reader)?,
-            },
-            TAG_CLEAN_NODE => BmtBatchNode::CleanNode {
-                filter: BloomFilter::decode_from(reader)?,
-                left_hash: Hash256::decode_from(reader)?,
-                right_hash: Hash256::decode_from(reader)?,
-            },
-            TAG_BRANCH => BmtBatchNode::Branch {
-                left: Box::new(Self::decode_bounded(reader, depth + 1)?),
-                right: Box::new(Self::decode_bounded(reader, depth + 1)?),
-            },
-            other => {
-                return Err(DecodeError::InvalidValue {
-                    what: "bmt batch proof node tag",
-                    found: u64::from(other),
-                })
-            }
-        })
+        node_len(self)
     }
 }
 
 impl Decodable for BmtBatchNode {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Self::decode_bounded(reader, 0)
-    }
-}
-
-impl Encodable for BmtBatchProof {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.root.encode_into(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.root.encoded_len()
-    }
-}
-
-impl Decodable for BmtBatchProof {
-    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(BmtBatchProof {
-            root: BmtBatchNode::decode_from(reader)?,
-        })
+        decode_node(reader, 0)
     }
 }
 
@@ -555,7 +327,7 @@ mod tests {
         let stats = proof.stats();
         assert!(stats.endpoint_count() >= 1);
         // Every byte is either a filter, a hash, or a one-byte tag.
-        let tags = stats.leaf_endpoints + stats.clean_nodes + stats.branch_nodes;
+        let tags = stats.endpoint_count() + stats.branch_nodes;
         assert_eq!(
             proof.encoded_len() as u64,
             stats.filter_bytes + stats.hash_bytes + tags

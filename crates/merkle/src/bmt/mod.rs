@@ -51,12 +51,14 @@
 
 mod batch;
 mod builder;
+mod engine;
 mod proof;
 mod source;
 mod tree;
 
-pub use batch::{prove_multi, BmtBatchNode, BmtBatchProof, BmtBatchProofStats};
+pub use batch::{prove_multi, BmtBatchNode, BmtBatchProof};
 pub use builder::{merge_count, BmtBuilder, LeafCommit, SpanHash};
+pub use engine::BmtTreeProof;
 pub use proof::{prove, BmtCoverage, BmtProof, BmtProofNode, BmtProofStats};
 pub use source::BmtSource;
 pub use tree::Bmt;
@@ -88,6 +90,9 @@ pub enum BmtError {
     /// A proof node claimed to be clean but the queried bit positions are
     /// all set in its filter.
     NotClean,
+    /// A proof leaf claimed its filter check failed but the queried bit
+    /// positions are not all set in its filter.
+    NotFailed,
     /// A proof's shape is inconsistent with the expected tree geometry.
     MalformedProof {
         /// What was wrong.
@@ -106,6 +111,9 @@ impl fmt::Display for BmtError {
             BmtError::RootMismatch => f.write_str("bmt proof does not match committed root"),
             BmtError::NotClean => {
                 f.write_str("bmt proof marks a node clean whose filter matches the query")
+            }
+            BmtError::NotFailed => {
+                f.write_str("bmt proof marks a leaf failed whose filter is clean for the query")
             }
             BmtError::MalformedProof { reason } => write!(f, "malformed bmt proof: {reason}"),
         }

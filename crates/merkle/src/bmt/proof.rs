@@ -4,11 +4,12 @@ use lvq_bloom::{BloomFilter, BloomParams};
 use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 use lvq_crypto::Hash256;
 
-use super::{internal_hash, is_power_of_two, leaf_hash, BmtError, BmtSource};
+use super::engine::{decode_node, encode_node, node_len, NodeView, ProofNode};
+use super::{BmtError, BmtSource, BmtTreeProof};
 
-/// Maximum tree depth accepted when decoding untrusted proofs
-/// (2^40 leaves is far beyond any chain length here).
-const MAX_DEPTH: u32 = 40;
+// A `CleanLeaf` is written with the shared `TAG_LEAF`.
+const TAG_FAILED_LEAF: u8 = 2;
+const TAG_BRANCH: u8 = 3;
 
 /// One node of a pruned-subtree BMT proof.
 ///
@@ -54,11 +55,9 @@ pub enum BmtProofNode {
     },
 }
 
-/// A merged inexistence proof for one BMT (one segment in LVQ).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BmtProof {
-    root: BmtProofNode,
-}
+/// A merged inexistence proof for one item over one BMT (one segment in
+/// LVQ).
+pub type BmtProof = BmtTreeProof<BmtProofNode>;
 
 /// What a verified BMT proof establishes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -88,13 +87,19 @@ impl BmtCoverage {
 }
 
 /// Size and shape statistics of a proof (drives paper Figs. 14–16).
+///
+/// The same accounting serves single-address proofs ([`BmtProof`]) and
+/// shared batch proofs ([`super::BmtBatchProof`]). A batch proof's leaves
+/// carry no clean/failed tag (each address classifies them from the
+/// filter), so they are all counted in `failed_leaves`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BmtProofStats {
     /// Clean leaf endpoints.
     pub clean_leaves: u64,
     /// Clean internal endpoints.
     pub clean_nodes: u64,
-    /// Failed leaves (blocks needing block-level proofs).
+    /// Failed leaves (blocks needing block-level proofs), or every leaf
+    /// endpoint of a batch proof.
     pub failed_leaves: u64,
     /// Expanded internal nodes.
     pub branch_nodes: u64,
@@ -127,17 +132,58 @@ impl BmtProofStats {
     }
 }
 
+impl ProofNode for BmtProofNode {
+    const FAILED_LEAF_TAG: u8 = TAG_FAILED_LEAF;
+    const BRANCH_TAG: u8 = TAG_BRANCH;
+
+    fn leaf(filter: BloomFilter, failed: bool) -> Self {
+        if failed {
+            BmtProofNode::FailedLeaf { filter }
+        } else {
+            BmtProofNode::CleanLeaf { filter }
+        }
+    }
+
+    fn clean_node(filter: BloomFilter, left_hash: Hash256, right_hash: Hash256) -> Self {
+        BmtProofNode::CleanNode {
+            filter,
+            left_hash,
+            right_hash,
+        }
+    }
+
+    fn branch(left: Self, right: Self) -> Self {
+        BmtProofNode::Branch {
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
+    fn view(&self) -> NodeView<'_, Self> {
+        match self {
+            BmtProofNode::CleanLeaf { filter } => NodeView::Leaf {
+                filter,
+                failed: Some(false),
+            },
+            BmtProofNode::FailedLeaf { filter } => NodeView::Leaf {
+                filter,
+                failed: Some(true),
+            },
+            BmtProofNode::CleanNode {
+                filter,
+                left_hash,
+                right_hash,
+            } => NodeView::CleanNode {
+                filter,
+                left_hash,
+                right_hash,
+            },
+            BmtProofNode::Branch { left, right } => NodeView::Branch { left, right },
+        }
+    }
+}
+
 impl BmtProof {
-    /// Wraps a hand-built proof tree (tests and adversarial simulations).
-    pub fn from_root(root: BmtProofNode) -> Self {
-        BmtProof { root }
-    }
-
-    /// The proof's root node.
-    pub fn root(&self) -> &BmtProofNode {
-        &self.root
-    }
-
     /// Verifies the proof against a committed BMT.
     ///
     /// * `first_leaf`/`leaf_count` — the tree geometry the verifier
@@ -152,7 +198,10 @@ impl BmtProof {
     /// # Errors
     ///
     /// Returns a [`BmtError`] if the proof shape, cleanliness claims,
-    /// parameters, or recomputed root hash are wrong.
+    /// parameters, or recomputed root hash are wrong. Both leaf tags are
+    /// claims: a `CleanLeaf` whose filter matches the query
+    /// ([`BmtError::NotClean`]) and a `FailedLeaf` whose filter does not
+    /// ([`BmtError::NotFailed`]) are rejected.
     pub fn verify(
         &self,
         first_leaf: u64,
@@ -161,123 +210,9 @@ impl BmtProof {
         params: BloomParams,
         positions: &[u64],
     ) -> Result<BmtCoverage, BmtError> {
-        if !is_power_of_two(leaf_count) {
-            return Err(BmtError::LeafCountNotPowerOfTwo { count: leaf_count });
-        }
-        let mut coverage = BmtCoverage::default();
-        let (hash, _filter) = Self::verify_node(
-            &self.root,
-            first_leaf,
-            first_leaf + leaf_count - 1,
-            params,
-            positions,
-            &mut coverage,
-        )?;
-        if hash != *expected_root {
-            return Err(BmtError::RootMismatch);
-        }
-        Ok(coverage)
-    }
-
-    fn verify_node(
-        node: &BmtProofNode,
-        lo: u64,
-        hi: u64,
-        params: BloomParams,
-        positions: &[u64],
-        coverage: &mut BmtCoverage,
-    ) -> Result<(Hash256, BloomFilter), BmtError> {
-        match node {
-            BmtProofNode::CleanLeaf { filter } => {
-                if lo != hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "clean leaf above leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                if !filter.check_positions(positions).is_clean() {
-                    return Err(BmtError::NotClean);
-                }
-                coverage.clean_ranges.push((lo, hi));
-                Ok((leaf_hash(filter), filter.clone()))
-            }
-            BmtProofNode::CleanNode {
-                filter,
-                left_hash,
-                right_hash,
-            } => {
-                if lo == hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "internal clean node at leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                if !filter.check_positions(positions).is_clean() {
-                    return Err(BmtError::NotClean);
-                }
-                coverage.clean_ranges.push((lo, hi));
-                Ok((internal_hash(left_hash, right_hash, filter), filter.clone()))
-            }
-            BmtProofNode::FailedLeaf { filter } => {
-                if lo != hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "failed leaf above leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                coverage.failed_leaves.push(lo);
-                Ok((leaf_hash(filter), filter.clone()))
-            }
-            BmtProofNode::Branch { left, right } => {
-                if lo == hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "branch node at leaf level",
-                    });
-                }
-                let mid = lo + (hi - lo) / 2;
-                let (lh, lf) = Self::verify_node(left, lo, mid, params, positions, coverage)?;
-                let (rh, rf) = Self::verify_node(right, mid + 1, hi, params, positions, coverage)?;
-                // Paper Eq. 3: the parent filter is the OR of its children.
-                let filter = BloomFilter::union(&lf, &rf).map_err(|_| BmtError::ParamsMismatch)?;
-                Ok((internal_hash(&lh, &rh, &filter), filter))
-            }
-        }
-    }
-
-    fn check_filter(filter: &BloomFilter, params: BloomParams) -> Result<(), BmtError> {
-        if filter.params() != params {
-            return Err(BmtError::ParamsMismatch);
-        }
-        Ok(())
-    }
-
-    /// Computes the proof's size and shape statistics.
-    pub fn stats(&self) -> BmtProofStats {
-        fn walk(node: &BmtProofNode, stats: &mut BmtProofStats) {
-            match node {
-                BmtProofNode::CleanLeaf { filter } => {
-                    stats.clean_leaves += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                }
-                BmtProofNode::CleanNode { filter, .. } => {
-                    stats.clean_nodes += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                    stats.hash_bytes += 64;
-                }
-                BmtProofNode::FailedLeaf { filter } => {
-                    stats.failed_leaves += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                }
-                BmtProofNode::Branch { left, right } => {
-                    stats.branch_nodes += 1;
-                    walk(left, stats);
-                    walk(right, stats);
-                }
-            }
-        }
-        let mut stats = BmtProofStats::default();
-        walk(&self.root, &mut stats);
-        stats
+        let mut coverages =
+            self.verify_sets(first_leaf, leaf_count, expected_root, params, &[positions])?;
+        Ok(coverages.pop().expect("one position set, one coverage"))
     }
 }
 
@@ -297,146 +232,22 @@ impl BmtProof {
 ///
 /// See the [module documentation](crate::bmt).
 pub fn prove<S: BmtSource + ?Sized>(source: &S, positions: &[u64]) -> Result<BmtProof, BmtError> {
-    let (lo, hi) = source.span();
-    let count = hi - lo + 1;
-    if !is_power_of_two(count) {
-        return Err(BmtError::LeafCountNotPowerOfTwo { count });
-    }
-
-    fn descend<S: BmtSource + ?Sized>(
-        source: &S,
-        lo: u64,
-        hi: u64,
-        positions: &[u64],
-    ) -> BmtProofNode {
-        let filter = source.filter(lo, hi);
-        let clean = filter.check_positions(positions).is_clean();
-        match (clean, lo == hi) {
-            (true, true) => BmtProofNode::CleanLeaf { filter },
-            (true, false) => {
-                let mid = lo + (hi - lo) / 2;
-                BmtProofNode::CleanNode {
-                    filter,
-                    left_hash: source.node_hash(lo, mid),
-                    right_hash: source.node_hash(mid + 1, hi),
-                }
-            }
-            (false, true) => BmtProofNode::FailedLeaf { filter },
-            (false, false) => {
-                let mid = lo + (hi - lo) / 2;
-                BmtProofNode::Branch {
-                    left: Box::new(descend(source, lo, mid, positions)),
-                    right: Box::new(descend(source, mid + 1, hi, positions)),
-                }
-            }
-        }
-    }
-
-    Ok(BmtProof {
-        root: descend(source, lo, hi, positions),
-    })
+    BmtProof::prove(source, &[positions])
 }
-
-const TAG_CLEAN_LEAF: u8 = 0;
-const TAG_CLEAN_NODE: u8 = 1;
-const TAG_FAILED_LEAF: u8 = 2;
-const TAG_BRANCH: u8 = 3;
 
 impl Encodable for BmtProofNode {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            BmtProofNode::CleanLeaf { filter } => {
-                out.push(TAG_CLEAN_LEAF);
-                filter.encode_into(out);
-            }
-            BmtProofNode::CleanNode {
-                filter,
-                left_hash,
-                right_hash,
-            } => {
-                out.push(TAG_CLEAN_NODE);
-                filter.encode_into(out);
-                left_hash.encode_into(out);
-                right_hash.encode_into(out);
-            }
-            BmtProofNode::FailedLeaf { filter } => {
-                out.push(TAG_FAILED_LEAF);
-                filter.encode_into(out);
-            }
-            BmtProofNode::Branch { left, right } => {
-                out.push(TAG_BRANCH);
-                left.encode_into(out);
-                right.encode_into(out);
-            }
-        }
+        encode_node(self, out);
     }
 
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            BmtProofNode::CleanLeaf { filter } | BmtProofNode::FailedLeaf { filter } => {
-                filter.encoded_len()
-            }
-            BmtProofNode::CleanNode { filter, .. } => filter.encoded_len() + 64,
-            BmtProofNode::Branch { left, right } => left.encoded_len() + right.encoded_len(),
-        }
-    }
-}
-
-impl BmtProofNode {
-    fn decode_bounded(reader: &mut Reader<'_>, depth: u32) -> Result<Self, DecodeError> {
-        if depth > MAX_DEPTH {
-            return Err(DecodeError::InvalidValue {
-                what: "bmt proof depth",
-                found: u64::from(depth),
-            });
-        }
-        Ok(match reader.read_u8()? {
-            TAG_CLEAN_LEAF => BmtProofNode::CleanLeaf {
-                filter: BloomFilter::decode_from(reader)?,
-            },
-            TAG_CLEAN_NODE => BmtProofNode::CleanNode {
-                filter: BloomFilter::decode_from(reader)?,
-                left_hash: Hash256::decode_from(reader)?,
-                right_hash: Hash256::decode_from(reader)?,
-            },
-            TAG_FAILED_LEAF => BmtProofNode::FailedLeaf {
-                filter: BloomFilter::decode_from(reader)?,
-            },
-            TAG_BRANCH => BmtProofNode::Branch {
-                left: Box::new(Self::decode_bounded(reader, depth + 1)?),
-                right: Box::new(Self::decode_bounded(reader, depth + 1)?),
-            },
-            other => {
-                return Err(DecodeError::InvalidValue {
-                    what: "bmt proof node tag",
-                    found: u64::from(other),
-                })
-            }
-        })
+        node_len(self)
     }
 }
 
 impl Decodable for BmtProofNode {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Self::decode_bounded(reader, 0)
-    }
-}
-
-impl Encodable for BmtProof {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.root.encode_into(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.root.encoded_len()
-    }
-}
-
-impl Decodable for BmtProof {
-    fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(BmtProof {
-            root: BmtProofNode::decode_from(reader)?,
-        })
+        decode_node(reader, 0)
     }
 }
 
@@ -597,6 +408,39 @@ mod tests {
             .verify(1, 4, &tree.root_hash(), params(), &positions)
             .unwrap_err();
         assert_eq!(err, BmtError::NotClean);
+    }
+
+    #[test]
+    fn relabelling_a_clean_leaf_as_failed_rejected() {
+        // The converse lie: a prover tags a clean leaf `FailedLeaf` (to
+        // attach a block-level fragment the query does not call for).
+        // The tag is a claim, and the filter bound by the root hash
+        // refutes it.
+        let tree = fig3_tree();
+        let positions = positions_of(b"b1"); // in leaf 2 only
+        let honest = prove(&tree, &positions).unwrap();
+        fn forge(node: &BmtProofNode, forged: &mut bool) -> BmtProofNode {
+            match node {
+                BmtProofNode::CleanLeaf { filter } if !*forged => {
+                    *forged = true;
+                    BmtProofNode::FailedLeaf {
+                        filter: filter.clone(),
+                    }
+                }
+                BmtProofNode::Branch { left, right } => BmtProofNode::Branch {
+                    left: Box::new(forge(left, forged)),
+                    right: Box::new(forge(right, forged)),
+                },
+                other => other.clone(),
+            }
+        }
+        let mut forged = false;
+        let forged_proof = BmtProof::from_root(forge(honest.root(), &mut forged));
+        assert!(forged, "the honest proof has a clean leaf to relabel");
+        let err = forged_proof
+            .verify(1, 4, &tree.root_hash(), params(), &positions)
+            .unwrap_err();
+        assert_eq!(err, BmtError::NotFailed);
     }
 
     #[test]

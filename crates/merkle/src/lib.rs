@@ -41,8 +41,7 @@ pub use avl::{
     AvlError, AvlLink, AvlNode, AvlNodeStore, AvlProof, AvlProofStep, AvlTree, MemoryNodes,
 };
 pub use bmt::{
-    Bmt, BmtBatchProof, BmtBatchProofStats, BmtBuilder, BmtCoverage, BmtError, BmtProof,
-    BmtProofStats, BmtSource,
+    Bmt, BmtBatchProof, BmtBuilder, BmtCoverage, BmtError, BmtProof, BmtProofStats, BmtSource,
 };
 pub use mt::{MerkleBranch, MerkleTree};
 pub use smt::{SmtBranch, SmtError, SmtProof, SmtProofKind, SortedMerkleTree};

@@ -19,14 +19,17 @@
 //! * [`LightNode`] — stores only headers, issues requests over any
 //!   [`Transport`], and verifies responses with
 //!   [`lvq_core::LightClient`];
-//! * [`Transport`] — the serving abstraction, with two
-//!   interchangeable implementations: [`LocalTransport`] (the
-//!   in-process simulated wire, a [`MeteredPipe`] in front of the
-//!   node) and [`TcpTransport`] (length-prefixed frames over a real
-//!   socket, speaking to a [`NodeServer`]). Both count [`Traffic`] as
+//! * [`Transport`] — the serving abstraction. [`LocalTransport`] is
+//!   the in-process simulated wire (a [`MeteredPipe`] in front of the
+//!   node); [`TcpTransport`] speaks length-prefixed frames over a real
+//!   socket to a [`NodeServer`]; [`ReconnectingTcpTransport`],
+//!   [`PipelinedTcpTransport`] and [`FaultyTransport`] build on the
+//!   same framing. All count [`Traffic`] as
 //!   payload bytes only, so measurements agree exactly;
-//! * [`NodeServer`] — a thread-per-connection TCP server sharing one
-//!   `Arc<FullNode>` (and thus its memo caches) across clients;
+//! * [`NodeServer`] — a TCP server whose single readiness loop owns
+//!   every connection and hands complete requests to a bounded pool of
+//!   proof workers sharing one `Arc<FullNode>` (and thus its memo
+//!   caches);
 //! * [`query_quorum_spec`] — cross-check several peers and merge
 //!   their verified answers;
 //! * [`BandwidthModel`] — converts measured bytes into estimated

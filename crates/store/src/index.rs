@@ -603,7 +603,8 @@ struct IndexInner {
 
 /// A persistent, authenticated [`TableSource`]: the chain's per-block
 /// derived state in a Merkle AVL tree over an append-only node log.
-/// See the [module docs](self) for the layout and invariants.
+/// The layout and invariants are documented in the source of this
+/// crate's `index` module.
 #[derive(Debug)]
 pub struct IndexedTables {
     dir: PathBuf,

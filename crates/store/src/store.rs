@@ -269,8 +269,9 @@ impl BlockStore {
 
     /// Opens an existing store, recovering from a torn tail if needed.
     ///
-    /// See the [module docs](self) for the recovery rules; the returned
-    /// [`RecoveryReport`] says what, if anything, was repaired.
+    /// The recovery rules are documented in the source of this crate's
+    /// `store` module; the returned [`RecoveryReport`] says what, if
+    /// anything, was repaired.
     ///
     /// # Errors
     ///

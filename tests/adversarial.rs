@@ -214,6 +214,69 @@ fn hiding_a_failed_leaf_as_clean_rejected() {
     );
 }
 
+#[test]
+fn relabelling_a_clean_leaf_as_failed_rejected() {
+    // The converse lie: tag a clean leaf `FailedLeaf` and attach a valid
+    // SMT absence proof for it. Every fragment checks out, so only the
+    // leaf tag itself (a claim the committed filter refutes) exposes
+    // the malleated proof.
+    let mut s = scenario(Scheme::Lvq);
+    let segs = segments(s.client.tip_height(), 16);
+    let segmented = as_segmented(&mut s.response);
+
+    fn relabel(
+        node: &BmtProofNode,
+        lo: u64,
+        hi: u64,
+        relabelled: &mut Option<u64>,
+    ) -> BmtProofNode {
+        match node {
+            BmtProofNode::CleanLeaf { filter } if relabelled.is_none() => {
+                *relabelled = Some(lo);
+                BmtProofNode::FailedLeaf {
+                    filter: filter.clone(),
+                }
+            }
+            BmtProofNode::Branch { left, right } => {
+                let mid = lo + (hi - lo) / 2;
+                BmtProofNode::Branch {
+                    left: Box::new(relabel(left, lo, mid, relabelled)),
+                    right: Box::new(relabel(right, mid + 1, hi, relabelled)),
+                }
+            }
+            other => other.clone(),
+        }
+    }
+    let mut relabelled = None;
+    for (seg, bundle) in segs.iter().zip(&mut segmented.segments) {
+        bundle.proof = BmtProof::from_root(relabel(
+            bundle.proof.root(),
+            seg.lo,
+            seg.hi,
+            &mut relabelled,
+        ));
+        if let Some(height) = relabelled {
+            let smt = s.workload.chain.address_smt(height).unwrap();
+            let absence = BlockFragment::AbsenceSmt(smt.prove(s.address.as_bytes()));
+            bundle.fragments.push((height, absence));
+            bundle.fragments.sort_by_key(|(h, _)| *h);
+            break;
+        }
+    }
+    assert!(relabelled.is_some(), "the honest proof has a clean leaf");
+    let err = s.client.verify(&s.address, &s.response).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            QueryError::Bmt {
+                source: lvq::merkle::BmtError::NotFailed,
+                ..
+            }
+        ),
+        "the committed filter refutes the failed tag: {err}"
+    );
+}
+
 // --- (e) dropping a block's fragment -----------------------------------
 
 #[test]
