@@ -23,6 +23,11 @@ use crate::stats::ProverStats;
 /// against a disk-backed source they are materialized lazily — only for
 /// the (few) blocks whose filters actually matched.
 ///
+/// A single-address query is the one-address case of a batched one: both
+/// run the same per-block and segmented loops. With the `parallel`
+/// feature, segment proofs are generated on scoped worker threads, one
+/// per segment, for either kind.
+///
 /// # Examples
 ///
 /// See the [crate-level example](crate).
@@ -174,21 +179,9 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
             .collect();
         let mut stats = ProverStats::default();
         let response = if self.config.scheme().is_per_block() {
-            R::per_block(self.respond_per_block::<R>(
-                addresses,
-                lo,
-                hi,
-                &position_sets,
-                &mut stats,
-            )?)
+            self.respond_per_block(addresses, lo, hi, &position_sets, &mut stats)?
         } else {
-            R::segmented(self.respond_segmented::<R>(
-                addresses,
-                lo,
-                hi,
-                &position_sets,
-                &mut stats,
-            )?)
+            self.respond_segmented(addresses, lo, hi, &position_sets, &mut stats)?
         };
         Ok((response, stats))
     }
@@ -202,7 +195,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         hi: u64,
         position_sets: &[Vec<u64>],
         stats: &mut ProverStats,
-    ) -> Result<Vec<R::Entry>, ProveError> {
+    ) -> Result<R, ProveError> {
         let mut entries = Vec::with_capacity(hi.saturating_sub(lo) as usize + 1);
         for height in lo..=hi {
             let filter = self.chain.leaf_filter(height)?;
@@ -218,7 +211,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
             }
             entries.push(R::entry(filter, fragments));
         }
-        Ok(entries)
+        Ok(R::per_block(entries))
     }
 
     /// LVQ / LVQ-without-SMT: one BMT descent per (sub-)segment serving
@@ -237,7 +230,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         hi: u64,
         position_sets: &[Vec<u64>],
         stats: &mut ProverStats,
-    ) -> Result<Vec<R::Bundle>, ProveError> {
+    ) -> Result<R, ProveError> {
         let segs = segments_over(lo, hi, self.config.segment_len());
         let proofs = map_segments(segs.len(), |i| -> Result<R::Proof, ProveError> {
             let source = self.chain.segment_source(segs[i].lo, segs[i].hi)?;
@@ -265,7 +258,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
             }
             bundles.push(R::bundle(proof, sections));
         }
-        Ok(bundles)
+        Ok(R::segmented(bundles))
     }
 
     /// Consults a block body to resolve a failed filter check into the

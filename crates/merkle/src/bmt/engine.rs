@@ -253,27 +253,17 @@ pub enum NodeView<'a, N> {
     /// leaf matched a queried set, or `None` when the format leaves the
     /// classification to the verifier (batch proofs).
     Leaf {
-        /// The leaf's filter.
         filter: &'a BloomFilter,
-        /// The leaf's tag, if the format has one.
         failed: Option<bool>,
     },
     /// An internal endpoint clean for every queried set.
     CleanNode {
-        /// The node's filter.
         filter: &'a BloomFilter,
-        /// Hash of the left child.
         left_hash: &'a Hash256,
-        /// Hash of the right child.
         right_hash: &'a Hash256,
     },
     /// An expanded internal node.
-    Branch {
-        /// Left child subtree.
-        left: &'a N,
-        /// Right child subtree.
-        right: &'a N,
-    },
+    Branch { left: &'a N, right: &'a N },
 }
 
 /// A BMT proof node format: implemented by [`super::BmtProofNode`] and

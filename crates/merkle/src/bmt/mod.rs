@@ -21,7 +21,9 @@
 //! * [`BmtBuilder`] — the incremental builder a chain uses to commit each
 //!   block's BMT root in O(1) amortised filter merges per block;
 //! * [`BmtProof`] — the merged, pruned-subtree inexistence proof of paper
-//!   Fig. 11, with exact wire encoding and endpoint statistics.
+//!   Fig. 11, with exact wire encoding and endpoint statistics, and
+//!   [`BmtBatchProof`], the same proof shared by several items; both are
+//!   a [`BmtTreeProof`] built and checked by one engine.
 //!
 //! # Examples
 //!
