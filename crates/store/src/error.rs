@@ -25,7 +25,7 @@ pub enum StoreError {
     },
     /// A store file does not start with its expected magic.
     BadMagic {
-        /// Which file (`store.meta`, `index.idx`, or a segment).
+        /// Which file (`store.meta`, `segment` or `node segment`).
         file: &'static str,
     },
     /// A store file's format version is newer than this library.

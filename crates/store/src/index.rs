@@ -13,18 +13,19 @@
 //! The index is a subdirectory (`addr-index/`) of the block store:
 //!
 //! ```text
-//! nodes-0000.seg    magic "LVQN" | version u32 | segment u32 | records…
+//! nodes-0000.seg    segment log "LVQN": one stored node per record
 //! nodes-0001.seg    …
-//! root.idx          magic "LVQR" | version u32 | tip u64
-//!                   | Option<AvlLink> | Option<loc> | crc32
+//! root.idx          checked file "LVQR": tip u64
+//!                   | Option<AvlLink> | Option<loc>
 //! ```
 //!
-//! Node records reuse the block store's framing
-//! ([`crate::frame`]): `len u32 | crc32 u32 | payload`. Each payload is
-//! one [`AvlNode`] plus the log locations of its children, so a
-//! descent needs no in-memory directory — resident memory is the
-//! bounded node cache plus the not-yet-anchored write set, independent
-//! of chain length.
+//! The node log is the same segment log as the block store's, and
+//! `root.idx` the same checked file as its `index.idx` (both formats
+//! are described in the source of this crate's `frame` module). Each
+//! node record is one [`AvlNode`] plus the log locations of its
+//! children, so a descent needs no in-memory directory — resident
+//! memory is the bounded node cache plus the not-yet-anchored write
+//! set, independent of chain length.
 //!
 //! # Keyspace
 //!
@@ -59,8 +60,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -69,22 +69,28 @@ use parking_lot::{Mutex, RwLock};
 use lvq_chain::{Address, BlockHeader, CacheStats, ChainError, TableSource, TableUpdate};
 use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 use lvq_crypto::Hash256;
-use lvq_merkle::avl::{AvlError, AvlLink, AvlNode, AvlNodeStore, AvlProof, AvlTree};
+use lvq_merkle::avl::{AvlError, AvlLink, AvlNode, AvlNodeStore, AvlTree};
 
 use crate::cache::LruCache;
-use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::frame::{
-    frame_record, read_exact_at, read_record_payload, segment_header, FrameError, RecordLoc,
-    SegmentHandle, SEGMENT_HEADER_LEN,
+    checked_header, read_checked, remove_stale_tmp, write_checked, CheckedError, FrameError,
+    LogFormat, RecordLoc, SegmentLog,
 };
-use crate::fsio::{RealFs, StoreFs};
+use crate::fsio::StoreFs;
 
-const NODE_MAGIC: [u8; 4] = *b"LVQN";
 const ROOT_MAGIC: [u8; 4] = *b"LVQR";
-const VERSION: u32 = 1;
 const ROOT_FILE: &str = "root.idx";
-const ROOT_TMP_FILE: &str = "root.idx.tmp";
+
+/// The node log: `nodes-NNNN.seg`. Records are only ever reached
+/// through locations written *after* them, so the log needs no reopen
+/// scan — torn tail bytes are simply unreferenced.
+static NODE_LOG: LogFormat = LogFormat {
+    magic: *b"LVQN",
+    stem: "nodes",
+    ext: "seg",
+    label: "node segment",
+};
 
 const KEY_ADDR: u8 = b'a';
 const KEY_HEADER: u8 = b'h';
@@ -219,193 +225,20 @@ fn decode_stored(payload: &[u8]) -> Result<StoredNode, AvlError> {
     })
 }
 
-fn node_file_name(segment: u32) -> String {
-    format!("nodes-{segment:04}.seg")
-}
-
-#[derive(Debug)]
-struct LogWriter {
-    file: File,
-    segment: u32,
-    offset: u64,
-}
-
-/// The append-only node log: `nodes-NNNN.seg` segments sharing the
-/// block store's record framing. Records are only ever reached through
-/// locations written *after* them, so the log needs no reopen scan —
-/// torn tail bytes are simply unreferenced.
-#[derive(Debug)]
-struct NodeLog {
-    dir: PathBuf,
-    target_bytes: u64,
-    fs: Arc<dyn StoreFs>,
-    segments: RwLock<Vec<SegmentHandle>>,
-    writer: Mutex<LogWriter>,
-}
-
-impl NodeLog {
-    fn create(
-        dir: &Path,
-        target_bytes: u64,
-        fs_impl: Arc<dyn StoreFs>,
-    ) -> Result<Self, StoreError> {
-        let path = dir.join(node_file_name(0));
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        fs_impl.write_all(&file, &segment_header(NODE_MAGIC, VERSION, 0))?;
-        fs_impl.sync(&file)?;
-        Ok(NodeLog {
-            dir: dir.to_path_buf(),
-            target_bytes,
-            fs: fs_impl,
-            segments: RwLock::new(vec![SegmentHandle {
-                file: Arc::new(File::open(&path)?),
-                path,
-            }]),
-            writer: Mutex::new(LogWriter {
-                file,
-                segment: 0,
-                offset: SEGMENT_HEADER_LEN,
-            }),
-        })
-    }
-
-    fn open(dir: &Path, target_bytes: u64, fs_impl: Arc<dyn StoreFs>) -> Result<Self, StoreError> {
-        let mut count = 0u32;
-        while dir.join(node_file_name(count)).exists() {
-            count += 1;
-        }
-        if count == 0 {
-            return Err(StoreError::MissingSegment { segment: 0 });
-        }
-        let mut segments = Vec::with_capacity(count as usize);
-        for seg in 0..count {
-            let path = dir.join(node_file_name(seg));
-            let handle = SegmentHandle {
-                file: Arc::new(File::open(&path)?),
-                path,
-            };
-            let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
-            read_exact_at(&handle, &mut header, 0)?;
-            if header[..4] != NODE_MAGIC {
-                return Err(StoreError::BadMagic {
-                    file: "node segment",
-                });
+/// Reads a node record back, mapping framing failures to the tree
+/// layer's errors.
+fn read_node(log: &SegmentLog, loc: RecordLoc) -> Result<Vec<u8>, AvlError> {
+    log.read(loc).map_err(|e| match e {
+        FrameError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            AvlError::CorruptNode {
+                detail: "node location reaches beyond the end of the log",
             }
-            let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-            if version != VERSION {
-                return Err(StoreError::UnsupportedVersion {
-                    file: "node segment",
-                    found: version,
-                });
-            }
-            let stored_seg = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-            if stored_seg != seg {
-                return Err(StoreError::CorruptRecord {
-                    segment: seg,
-                    offset: 8,
-                    detail: "node segment header numbers itself differently",
-                });
-            }
-            segments.push(handle);
         }
-        let last = count - 1;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(dir.join(node_file_name(last)))?;
-        let offset = file.seek(SeekFrom::End(0))?;
-        Ok(NodeLog {
-            dir: dir.to_path_buf(),
-            target_bytes,
-            fs: fs_impl,
-            segments: RwLock::new(segments),
-            writer: Mutex::new(LogWriter {
-                file,
-                segment: last,
-                offset,
-            }),
-        })
-    }
-
-    fn append(&self, payload: &[u8]) -> Result<RecordLoc, StoreError> {
-        let record = frame_record(payload);
-        let mut writer = self.writer.lock();
-        if writer.offset >= self.target_bytes && writer.offset > SEGMENT_HEADER_LEN {
-            self.rotate(&mut writer)?;
-        }
-        self.fs.write_all(&writer.file, &record)?;
-        let loc = RecordLoc {
-            segment: writer.segment,
-            offset: writer.offset,
-            len: payload.len() as u32,
-        };
-        writer.offset += record.len() as u64;
-        Ok(loc)
-    }
-
-    fn rotate(&self, writer: &mut LogWriter) -> Result<(), StoreError> {
-        self.fs.sync(&writer.file)?;
-        let next = writer.segment + 1;
-        let path = self.dir.join(node_file_name(next));
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        self.fs
-            .write_all(&file, &segment_header(NODE_MAGIC, VERSION, next))?;
-        self.segments.write().push(SegmentHandle {
-            file: Arc::new(File::open(&path)?),
-            path,
-        });
-        writer.file = file;
-        writer.segment = next;
-        writer.offset = SEGMENT_HEADER_LEN;
-        Ok(())
-    }
-
-    fn read(&self, loc: RecordLoc) -> Result<Vec<u8>, AvlError> {
-        let handle = {
-            let segments = self.segments.read();
-            let Some(handle) = segments.get(loc.segment as usize) else {
-                return Err(AvlError::CorruptNode {
-                    detail: "node location names a segment the log does not have",
-                });
-            };
-            handle.clone()
-        };
-        read_record_payload(&handle, loc).map_err(|e| match e {
-            FrameError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                AvlError::CorruptNode {
-                    detail: "node location reaches beyond the end of the log",
-                }
-            }
-            FrameError::Io(e) => AvlError::Backend {
-                detail: e.to_string(),
-            },
-            FrameError::Corrupt { detail } => AvlError::CorruptNode { detail },
-        })
-    }
-
-    fn sync(&self) -> Result<(), StoreError> {
-        self.fs.sync(&self.writer.lock().file)?;
-        Ok(())
-    }
-
-    fn data_bytes(&self) -> u64 {
-        self.segments
-            .read()
-            .iter()
-            .filter_map(|handle| fs::metadata(&handle.path).ok())
-            .map(|meta| meta.len())
-            .sum()
-    }
+        FrameError::Io(e) => AvlError::Backend {
+            detail: e.to_string(),
+        },
+        FrameError::Corrupt { detail } => AvlError::CorruptNode { detail },
+    })
 }
 
 type NodeCache = Mutex<LruCache<RecordLoc, StoredNode>>;
@@ -441,11 +274,15 @@ fn remember_stored(memo: &LocMemo, stored: &StoredNode, loc: RecordLoc) {
 }
 
 /// Reads the record at `loc` through the location-keyed node cache.
-fn load_stored(log: &NodeLog, cache: &NodeCache, loc: RecordLoc) -> Result<StoredNode, AvlError> {
+fn load_stored(
+    log: &SegmentLog,
+    cache: &NodeCache,
+    loc: RecordLoc,
+) -> Result<StoredNode, AvlError> {
     if let Some(hit) = cache.lock().get(&loc) {
         return Ok(hit);
     }
-    let payload = log.read(loc)?;
+    let payload = read_node(log, loc)?;
     let stored = decode_stored(&payload)?;
     cache.lock().put(loc, stored.clone(), payload.len() + 96);
     Ok(stored)
@@ -456,7 +293,7 @@ fn load_stored(log: &NodeLog, cache: &NodeCache, loc: RecordLoc) -> Result<Store
 /// `None` if the anchored tree has no such key. Verification against
 /// committed hashes happens in the tree layer on top of this.
 fn walk_anchor(
-    log: &NodeLog,
+    log: &SegmentLog,
     cache: &NodeCache,
     anchor: Option<RecordLoc>,
     key: &[u8],
@@ -491,7 +328,7 @@ fn walk_anchor(
 /// Resolves the log location of the exact node version `link` commits
 /// to, via the anchored tree.
 fn locate_anchored(
-    log: &NodeLog,
+    log: &SegmentLog,
     cache: &NodeCache,
     anchor: Option<RecordLoc>,
     link: &AvlLink,
@@ -511,7 +348,7 @@ fn locate_anchored(
 }
 
 fn get_node_from(
-    log: &NodeLog,
+    log: &SegmentLog,
     cache: &NodeCache,
     dirty: &HashMap<Vec<u8>, Arc<AvlNode>>,
     anchor: Option<RecordLoc>,
@@ -527,7 +364,7 @@ fn get_node_from(
 /// Read-only [`AvlNodeStore`] over the log: dirty set first, anchored
 /// tree second.
 struct NodeReader<'a> {
-    log: &'a NodeLog,
+    log: &'a SegmentLog,
     cache: &'a NodeCache,
     dirty: &'a HashMap<Vec<u8>, Arc<AvlNode>>,
     anchor: Option<RecordLoc>,
@@ -557,7 +394,7 @@ impl AvlNodeStore for NodeReader<'_> {
 /// the in-memory dirty set; the log is only appended to at sync time,
 /// so one anchor writes each rewritten node once, not once per insert.
 struct NodeEditor<'a> {
-    log: &'a NodeLog,
+    log: &'a SegmentLog,
     cache: &'a NodeCache,
     dirty: &'a mut HashMap<Vec<u8>, Arc<AvlNode>>,
     dirty_bytes: &'a mut u64,
@@ -608,7 +445,7 @@ struct IndexInner {
 #[derive(Debug)]
 pub struct IndexedTables {
     dir: PathBuf,
-    log: NodeLog,
+    log: SegmentLog,
     fs: Arc<dyn StoreFs>,
     inner: RwLock<IndexInner>,
     cache: NodeCache,
@@ -617,24 +454,11 @@ pub struct IndexedTables {
 impl IndexedTables {
     /// Creates a fresh, empty index in `dir`, wiping whatever was there
     /// (the index is derived state — rebuilding it loses nothing).
+    /// Every durable operation goes through `fs_impl`.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on filesystem failure.
-    pub fn create(
-        dir: impl AsRef<Path>,
-        cache_bytes: usize,
-        segment_target_bytes: u64,
-    ) -> Result<Self, StoreError> {
-        Self::create_with_fs(dir, cache_bytes, segment_target_bytes, Arc::new(RealFs))
-    }
-
-    /// [`IndexedTables::create`] with an explicit [`StoreFs`] — the
-    /// seam the crash-fault harness injects through.
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexedTables::create`].
     pub fn create_with_fs(
         dir: impl AsRef<Path>,
         cache_bytes: usize,
@@ -646,7 +470,7 @@ impl IndexedTables {
             fs_impl.remove_dir_all(dir)?;
         }
         fs::create_dir_all(dir)?;
-        let log = NodeLog::create(dir, segment_target_bytes, Arc::clone(&fs_impl))?;
+        let log = SegmentLog::create(dir, &NODE_LOG, segment_target_bytes, Arc::clone(&fs_impl))?;
         let tables = IndexedTables {
             dir: dir.to_path_buf(),
             log,
@@ -667,25 +491,13 @@ impl IndexedTables {
 
     /// Opens the index in `dir` from its checksummed root record and
     /// verifies the anchored root node against it (one point read).
+    /// Every durable operation goes through `fs_impl`.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] if the root file is missing,
     /// [`StoreError::CorruptIndexRoot`] if it fails validation, and any
     /// node-log error if the root node cannot be read back verified.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        cache_bytes: usize,
-        segment_target_bytes: u64,
-    ) -> Result<Self, StoreError> {
-        Self::open_with_fs(dir, cache_bytes, segment_target_bytes, Arc::new(RealFs))
-    }
-
-    /// [`IndexedTables::open`] with an explicit [`StoreFs`].
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexedTables::open`].
     pub fn open_with_fs(
         dir: impl AsRef<Path>,
         cache_bytes: usize,
@@ -693,14 +505,9 @@ impl IndexedTables {
         fs_impl: Arc<dyn StoreFs>,
     ) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
-        // Debris from a crash between the root temp write and its
-        // rename; the renamed-to root is still whole.
-        let stale_tmp = dir.join(ROOT_TMP_FILE);
-        if stale_tmp.exists() {
-            fs_impl.remove_file(&stale_tmp)?;
-        }
+        remove_stale_tmp(&*fs_impl, dir, ROOT_FILE)?;
         let (tip, link, anchor) = read_root(&dir.join(ROOT_FILE))?;
-        let log = NodeLog::open(dir, segment_target_bytes, Arc::clone(&fs_impl))?;
+        let log = SegmentLog::open(dir, &NODE_LOG, segment_target_bytes, Arc::clone(&fs_impl))?;
         let tables = IndexedTables {
             dir: dir.to_path_buf(),
             log,
@@ -730,51 +537,6 @@ impl IndexedTables {
         Ok(tables)
     }
 
-    /// Like [`IndexedTables::open`], but additionally requires the root
-    /// to anchor exactly `expected_tip`.
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexedTables::open`], plus [`StoreError::StaleIndexRoot`]
-    /// when the anchored tip is not `expected_tip`.
-    pub fn open_at(
-        dir: impl AsRef<Path>,
-        cache_bytes: usize,
-        segment_target_bytes: u64,
-        expected_tip: u64,
-    ) -> Result<Self, StoreError> {
-        Self::open_at_with_fs(
-            dir,
-            cache_bytes,
-            segment_target_bytes,
-            expected_tip,
-            Arc::new(RealFs),
-        )
-    }
-
-    /// [`IndexedTables::open_at`] with an explicit [`StoreFs`].
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexedTables::open_at`].
-    pub fn open_at_with_fs(
-        dir: impl AsRef<Path>,
-        cache_bytes: usize,
-        segment_target_bytes: u64,
-        expected_tip: u64,
-        fs_impl: Arc<dyn StoreFs>,
-    ) -> Result<Self, StoreError> {
-        let tables = Self::open_with_fs(dir, cache_bytes, segment_target_bytes, fs_impl)?;
-        let root_tip = tables.tip();
-        if root_tip != expected_tip {
-            return Err(StoreError::StaleIndexRoot {
-                root_tip,
-                store_tip: expected_tip,
-            });
-        }
-        Ok(tables)
-    }
-
     /// The tip height the index is consistent with.
     pub fn tip(&self) -> u64 {
         self.inner.read().tip
@@ -788,7 +550,7 @@ impl IndexedTables {
 
     /// Total bytes across the node-log segment files.
     pub fn data_bytes(&self) -> u64 {
-        self.log.data_bytes()
+        self.log.file_bytes()
     }
 
     /// Restores all block headers `1..=tip` by point reads.
@@ -874,25 +636,6 @@ impl IndexedTables {
         inner.tree.verify_walk(&reader).map_err(avl_store_error)
     }
 
-    /// Builds an authenticated membership proof for the table entry at
-    /// `height`, returning the proof and the root hash it verifies
-    /// under — internal integrity evidence assembled from O(log n)
-    /// point reads.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Chain`] if the height has no table entry or a node
-    /// on the path fails verification.
-    pub fn prove_table(&self, height: u64) -> Result<(AvlProof, Hash256), StoreError> {
-        let inner = self.inner.read();
-        let reader = self.reader(&inner);
-        let proof = inner
-            .tree
-            .prove(&reader, &table_key(height))
-            .map_err(avl_store_error)?;
-        Ok((proof, inner.tree.root_hash()))
-    }
-
     fn reader<'a>(&'a self, inner: &'a IndexInner) -> NodeReader<'a> {
         NodeReader {
             log: &self.log,
@@ -943,7 +686,7 @@ fn write_subtree(
     link: &AvlLink,
     dirty: &HashMap<Vec<u8>, Arc<AvlNode>>,
     anchor: Option<RecordLoc>,
-    log: &NodeLog,
+    log: &SegmentLog,
     cache: &NodeCache,
     memo: &LocMemo,
 ) -> Result<RecordLoc, StoreError> {
@@ -960,7 +703,7 @@ fn write_subtree(
                 .map(|l| write_subtree(l, dirty, anchor, log, cache, memo))
                 .transpose()?;
             let payload = encode_stored(node, left_loc, right_loc);
-            let loc = log.append(&payload)?;
+            let loc = log.lock().append(&payload)?;
             cache.lock().put(
                 loc,
                 StoredNode {
@@ -979,8 +722,7 @@ fn write_subtree(
     }
 }
 
-/// Atomically rewrites `root.idx`:
-/// `magic | version | tip | root link | root loc | crc32`.
+/// Atomically rewrites `root.idx`: `tip | root link | root loc`.
 fn write_root(
     dir: &Path,
     tip: u64,
@@ -988,59 +730,23 @@ fn write_root(
     loc: Option<RecordLoc>,
     fs_impl: &dyn StoreFs,
 ) -> Result<(), StoreError> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&ROOT_MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    let mut bytes = checked_header(ROOT_MAGIC);
     bytes.extend_from_slice(&tip.to_le_bytes());
     link.cloned().encode_into(&mut bytes);
     loc.map(LocCodec).encode_into(&mut bytes);
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-
-    let tmp = dir.join(ROOT_TMP_FILE);
-    let file = File::create(&tmp)?;
-    fs_impl.write_all(&file, &bytes)?;
-    fs_impl.sync(&file)?;
-    fs_impl.rename(&tmp, &dir.join(ROOT_FILE))?;
-    // A rename alone is not power-loss durable until the directory
-    // entry itself is on disk.
-    fs_impl.sync_dir(dir)?;
-    Ok(())
+    write_checked(fs_impl, dir, ROOT_FILE, bytes)
 }
 
 /// Reads and validates `root.idx` back.
 fn read_root(path: &Path) -> Result<(u64, Option<AvlLink>, Option<RecordLoc>), StoreError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 20 {
-        return Err(StoreError::CorruptIndexRoot {
-            detail: "truncated",
-        });
-    }
-    if bytes[..4] != ROOT_MAGIC {
-        return Err(StoreError::CorruptIndexRoot {
-            detail: "bad magic",
-        });
-    }
-    if u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) != VERSION {
-        return Err(StoreError::CorruptIndexRoot {
-            detail: "unsupported version",
-        });
-    }
-    let body_len = bytes.len() - 4;
-    let stored_crc = u32::from_le_bytes([
-        bytes[body_len],
-        bytes[body_len + 1],
-        bytes[body_len + 2],
-        bytes[body_len + 3],
-    ]);
-    if crc32(&bytes[..body_len]) != stored_crc {
-        return Err(StoreError::CorruptIndexRoot {
-            detail: "crc mismatch",
-        });
-    }
-    let tip = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let mut reader = Reader::new(&bytes[16..body_len]);
+    let body = read_checked(path, ROOT_MAGIC, 8).map_err(|e| match e {
+        CheckedError::Io(e) => StoreError::Io(e),
+        other => StoreError::CorruptIndexRoot {
+            detail: other.detail(),
+        },
+    })?;
+    let tip = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
+    let mut reader = Reader::new(&body[8..]);
     let parsed: Result<_, DecodeError> = (|| {
         let link = Option::<AvlLink>::decode_from(&mut reader)?;
         let loc = Option::<LocCodec>::decode_from(&mut reader)?.map(|l| l.0);

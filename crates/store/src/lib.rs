@@ -16,7 +16,24 @@
 //!   [`lvq_chain::Chain`] via `Chain::assemble_trusted`, skipping the
 //!   full commitment replay a chain-file load performs;
 //! * [`ingest_chain`] — bulk-copies an existing chain into a store
-//!   (the CLI's `lvq ingest`).
+//!   (the CLI's `lvq ingest`);
+//! * [`IndexedTables`] — the persistent authenticated address index
+//!   (`addr-index/`): the chain's derived state in a Merkle AVL tree
+//!   over an append-only node log, so a reopen is point reads instead
+//!   of a replay;
+//! * [`open_chain_indexed`], [`open_chain_indexed_verified`] and
+//!   [`open_chain_indexed_with_fs`] — [`open_chain`] with the address
+//!   index restored (caught up, or rebuilt loudly when damaged; see
+//!   [`AddrIndexRecovery`]);
+//! * [`StoreFs`] — the seam every durable operation (write, fsync,
+//!   rename, truncate, delete) goes through: [`RealFs`] in production,
+//!   [`CrashFs`] to kill the store at an exact operation in tests.
+//!
+//! The block segments and the node log are one segment-log type, and
+//! every small metadata file is written through one atomic
+//! temp-file-and-rename helper, so both substrates share one on-disk
+//! format and one set of crash rules (see the source of the crate's
+//! `frame` module).
 //!
 //! # Examples
 //!

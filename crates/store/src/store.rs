@@ -5,22 +5,18 @@
 //! A store is a directory:
 //!
 //! ```text
-//! store.meta          magic "LVQM" | version u32 | ChainParams | crc32
-//! segment-0000.blk    magic "LVQS" | version u32 | segment u32 | records…
+//! store.meta          checked file "LVQM": ChainParams
+//! segment-0000.blk    segment log "LVQS": one encoded Block per record
 //! segment-0001.blk    …
-//! index.idx           magic "LVQI" | version u32 | count u64
-//!                     | count × (segment u32, offset u64, len u32) | crc32
+//! index.idx           checked file "LVQI": count u64
+//!                     | count × (segment u32, offset u64, len u32)
+//! forks.log           header-less records: height u64 | encoded Block
 //! ```
 //!
-//! Each record frames one encoded [`Block`]:
-//!
-//! ```text
-//! len u32 LE | crc32(payload) u32 LE | payload (len bytes)
-//! ```
-//!
-//! All integers are little-endian; record `offset`s point at the `len`
-//! field. Record *N* of the store (0-based, across segments in order)
-//! is the block at height *N + 1*.
+//! The segment-log, checked-file and record formats are described once,
+//! in the source of this crate's `frame` module. Record *N* of the
+//! store (0-based, across segments in order) is the block at height
+//! *N + 1*.
 //!
 //! # Crash safety
 //!
@@ -33,35 +29,37 @@
 //! ([`RecoveryReport`]). A bad CRC anywhere *before* the tail is real
 //! corruption and refuses loudly with [`StoreError::CorruptRecord`].
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
+use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use lvq_chain::{Block, ChainParams};
 use lvq_codec::{Decodable, Encodable, Reader};
 
-use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::frame::{
-    frame_record, read_exact_at, read_record_payload, scan_record, segment_header, FrameError,
-    RecordLoc, ScannedRecord, SegmentHandle, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN,
+    checked_header, frame_record, read_checked, remove_stale_tmp, scan_records, write_atomic,
+    write_checked, CheckedError, FrameError, LogFormat, RecordLoc, SegmentHandle, SegmentLog,
+    RECORD_HEADER_LEN, SEGMENT_HEADER_LEN,
 };
 use crate::fsio::{RealFs, StoreFs};
 
 const META_MAGIC: [u8; 4] = *b"LVQM";
-const SEGMENT_MAGIC: [u8; 4] = *b"LVQS";
 const INDEX_MAGIC: [u8; 4] = *b"LVQI";
-const VERSION: u32 = 1;
 
 const META_FILE: &str = "store.meta";
-const META_TMP_FILE: &str = "store.meta.tmp";
 const INDEX_FILE: &str = "index.idx";
-const INDEX_TMP_FILE: &str = "index.idx.tmp";
 const FORKS_FILE: &str = "forks.log";
-const FORKS_TMP_FILE: &str = "forks.log.tmp";
+
+/// The block log: `segment-NNNN.blk`.
+static BLOCK_LOG: LogFormat = LogFormat {
+    magic: *b"LVQS",
+    stem: "segment",
+    ext: "blk",
+    label: "segment",
+};
 
 /// Operational knobs of a [`BlockStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,13 +155,6 @@ impl RecoveryReport {
     }
 }
 
-#[derive(Debug)]
-struct Writer {
-    file: File,
-    segment: u32,
-    offset: u64,
-}
-
 /// An append-only, CRC-framed, segmented store of encoded blocks.
 ///
 /// Reads take `&self` and are safe from many threads at once
@@ -175,13 +166,11 @@ pub struct BlockStore {
     params: ChainParams,
     config: StoreConfig,
     fs: Arc<dyn StoreFs>,
+    /// Height − 1 → record location. Appends publish to it while
+    /// holding the log's tail lock, so it only ever names written
+    /// records, in append order.
     index: RwLock<Vec<RecordLoc>>,
-    segments: RwLock<Vec<SegmentHandle>>,
-    writer: Mutex<Writer>,
-}
-
-fn segment_file_name(segment: u32) -> String {
-    format!("segment-{segment:04}.blk")
+    log: SegmentLog,
 }
 
 impl BlockStore {
@@ -224,28 +213,15 @@ impl BlockStore {
         // store, so a crash anywhere inside create leaves either no
         // store at all (re-creatable) or a complete empty one — never a
         // half-created store.
-        let seg_path = dir.join(segment_file_name(0));
-        let seg_file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&seg_path)?;
-        fs_impl.write_all(&seg_file, &segment_header(SEGMENT_MAGIC, VERSION, 0))?;
-        fs_impl.sync(&seg_file)?;
-
-        let mut meta = Vec::new();
-        meta.extend_from_slice(&META_MAGIC);
-        meta.extend_from_slice(&VERSION.to_le_bytes());
+        let log = SegmentLog::create(
+            &dir,
+            &BLOCK_LOG,
+            config.segment_target_bytes,
+            Arc::clone(&fs_impl),
+        )?;
+        let mut meta = checked_header(META_MAGIC);
         params.encode_into(&mut meta);
-        let crc = crc32(&meta);
-        meta.extend_from_slice(&crc.to_le_bytes());
-        let meta_tmp = dir.join(META_TMP_FILE);
-        let meta_file = File::create(&meta_tmp)?;
-        fs_impl.write_all(&meta_file, &meta)?;
-        fs_impl.sync(&meta_file)?;
-        fs_impl.rename(&meta_tmp, &meta_path)?;
-        fs_impl.sync_dir(&dir)?;
+        write_checked(&*fs_impl, &dir, META_FILE, meta)?;
 
         let store = BlockStore {
             dir,
@@ -253,15 +229,7 @@ impl BlockStore {
             config,
             fs: fs_impl,
             index: RwLock::new(Vec::new()),
-            segments: RwLock::new(vec![SegmentHandle {
-                file: Arc::new(File::open(&seg_path)?),
-                path: seg_path,
-            }]),
-            writer: Mutex::new(Writer {
-                file: seg_file,
-                segment: 0,
-                offset: SEGMENT_HEADER_LEN,
-            }),
+            log,
         };
         store.save_index()?;
         Ok(store)
@@ -304,24 +272,12 @@ impl BlockStore {
             return Err(StoreError::NotAStore { path: dir });
         }
         let params = read_meta(&meta_path)?;
-
-        // Stale temp files are debris from a crash between a temp write
-        // and its rename; the renamed-to files are still whole, so the
-        // debris is simply removed.
-        for tmp in [META_TMP_FILE, INDEX_TMP_FILE, FORKS_TMP_FILE] {
-            let path = dir.join(tmp);
-            if path.exists() {
-                fs_impl.remove_file(&path)?;
-            }
+        for name in [META_FILE, INDEX_FILE, FORKS_FILE] {
+            remove_stale_tmp(&*fs_impl, &dir, name)?;
         }
-
-        let mut segment_count = 0u32;
-        while dir.join(segment_file_name(segment_count)).exists() {
-            segment_count += 1;
-        }
-        if segment_count == 0 {
+        let Some(last) = BLOCK_LOG.count(&dir).checked_sub(1) else {
             return Err(StoreError::MissingSegment { segment: 0 });
-        }
+        };
 
         // A crash mid-journal leaves a torn tail on `forks.log`. It
         // must be truncated *now*, not tolerated lazily: the next
@@ -336,51 +292,27 @@ impl BlockStore {
         // A crash between creating a segment file and writing its
         // 12-byte header leaves a short final segment: repair it in
         // place (it cannot have held any records).
-        let last = segment_count - 1;
-        let last_path = dir.join(segment_file_name(last));
+        let last_path = BLOCK_LOG.path(&dir, last);
         let last_len = fs::metadata(&last_path)?.len();
         if last_len < SEGMENT_HEADER_LEN {
             let f = OpenOptions::new().write(true).open(&last_path)?;
             fs_impl.set_len(&f, 0)?;
-            fs_impl.write_all(&f, &segment_header(SEGMENT_MAGIC, VERSION, last))?;
+            fs_impl.write_all(&f, &BLOCK_LOG.header(last))?;
             fs_impl.sync(&f)?;
             report.truncated_tail_bytes += last_len;
             report.repaired_segment_header = true;
         }
 
-        let mut segments = Vec::with_capacity(segment_count as usize);
-        for seg in 0..segment_count {
-            let path = dir.join(segment_file_name(seg));
-            let handle = SegmentHandle {
-                file: Arc::new(File::open(&path)?),
-                path,
-            };
-            let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
-            read_exact_at(&handle, &mut header, 0)?;
-            if header[..4] != SEGMENT_MAGIC {
-                return Err(StoreError::BadMagic { file: "segment" });
-            }
-            let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-            if version != VERSION {
-                return Err(StoreError::UnsupportedVersion {
-                    file: "segment",
-                    found: version,
-                });
-            }
-            let stored_seg = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-            if stored_seg != seg {
-                return Err(StoreError::CorruptRecord {
-                    segment: seg,
-                    offset: 8,
-                    detail: "segment header numbers itself differently",
-                });
-            }
-            segments.push(handle);
-        }
+        let log = SegmentLog::open(
+            &dir,
+            &BLOCK_LOG,
+            config.segment_target_bytes,
+            Arc::clone(&fs_impl),
+        )?;
 
         // The index is a cache: adopt it when consistent, rebuild when
         // not.
-        let mut index = match load_index(&dir.join(INDEX_FILE), &segments) {
+        let mut index = match load_index(&dir, &log) {
             Some(index) => index,
             None => {
                 report.rebuilt_index = true;
@@ -391,65 +323,38 @@ impl BlockStore {
         // Scan every segment's unindexed tail. Only the final segment
         // may legitimately end mid-record (a torn append); anywhere
         // else a bad record is corruption.
-        for seg in 0..segment_count {
-            let handle = &segments[seg as usize];
-            let file_len = fs::metadata(&handle.path)?.len();
-            let mut offset = index
+        for seg in 0..=last {
+            let from = index
                 .iter()
                 .rev()
                 .find(|loc| loc.segment == seg)
                 .map(|loc| loc.end())
                 .unwrap_or(SEGMENT_HEADER_LEN);
-            while offset < file_len {
-                match scan_record(handle, seg, offset, file_len)? {
-                    ScannedRecord::Valid(loc) => {
-                        offset = loc.end();
-                        index.push(loc);
-                        report.recovered_records += 1;
-                    }
-                    ScannedRecord::Corrupt { offset, detail } => {
-                        return Err(StoreError::CorruptRecord {
-                            segment: seg,
-                            offset,
-                            detail,
-                        });
-                    }
-                    ScannedRecord::Torn => {
-                        if seg != last {
-                            return Err(StoreError::CorruptRecord {
-                                segment: seg,
-                                offset,
-                                detail: "torn record before the final segment",
-                            });
-                        }
-                        report.truncated_tail_bytes += file_len - offset;
-                        let f = OpenOptions::new().write(true).open(&handle.path)?;
-                        fs_impl.set_len(&f, offset)?;
-                        fs_impl.sync(&f)?;
-                        break;
-                    }
+            let torn = log.scan(seg, from, |loc, _| {
+                index.push(loc);
+                report.recovered_records += 1;
+                Ok(())
+            })?;
+            if let Some(torn) = torn {
+                if seg != last {
+                    return Err(StoreError::CorruptRecord {
+                        segment: seg,
+                        offset: torn.start,
+                        detail: "torn record before the final segment",
+                    });
                 }
+                report.truncated_tail_bytes += torn.end - torn.start;
+                log.lock().truncate(seg, torn.start)?;
             }
         }
 
-        let writer_path = dir.join(segment_file_name(last));
-        let mut writer_file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&writer_path)?;
-        let offset = writer_file.seek(SeekFrom::End(0))?;
         let store = BlockStore {
             dir,
             params,
             config,
             fs: fs_impl,
             index: RwLock::new(index),
-            segments: RwLock::new(segments),
-            writer: Mutex::new(Writer {
-                file: writer_file,
-                segment: last,
-                offset,
-            }),
+            log,
         };
         if !report.is_clean() {
             store.save_index()?;
@@ -484,14 +389,13 @@ impl BlockStore {
 
     /// Number of segment files.
     pub fn segment_count(&self) -> u32 {
-        self.segments.read().len() as u32
+        self.log.segment_count()
     }
 
     /// Total bytes across all segment files.
     pub fn data_bytes(&self) -> u64 {
         let index = self.index.read();
-        let segments = self.segments.read().len() as u64;
-        segments * SEGMENT_HEADER_LEN
+        self.log.segment_count() as u64 * SEGMENT_HEADER_LEN
             + index
                 .iter()
                 .map(|loc| RECORD_HEADER_LEN + loc.len as u64)
@@ -508,46 +412,11 @@ impl BlockStore {
     /// Returns [`StoreError::Io`] on write failure.
     pub fn append(&self, block: &Block) -> Result<u64, StoreError> {
         let payload = block.encode();
-        let record = frame_record(&payload);
-
-        let mut writer = self.writer.lock();
-        if writer.offset >= self.config.segment_target_bytes && writer.offset > SEGMENT_HEADER_LEN {
-            self.rotate(&mut writer)?;
-        }
-        self.fs.write_all(&writer.file, &record)?;
-        let loc = RecordLoc {
-            segment: writer.segment,
-            offset: writer.offset,
-            len: payload.len() as u32,
-        };
-        writer.offset += record.len() as u64;
+        let mut tail = self.log.lock();
+        let loc = tail.append(&payload)?;
         let mut index = self.index.write();
         index.push(loc);
         Ok(index.len() as u64)
-    }
-
-    /// Finishes the current segment and starts the next; called with
-    /// the writer lock held.
-    fn rotate(&self, writer: &mut Writer) -> Result<(), StoreError> {
-        self.fs.sync(&writer.file)?;
-        let next = writer.segment + 1;
-        let path = self.dir.join(segment_file_name(next));
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        self.fs
-            .write_all(&file, &segment_header(SEGMENT_MAGIC, VERSION, next))?;
-        self.segments.write().push(SegmentHandle {
-            file: Arc::new(File::open(&path)?),
-            path,
-        });
-        writer.file = file;
-        writer.segment = next;
-        writer.offset = SEGMENT_HEADER_LEN;
-        Ok(())
     }
 
     /// Truncates the store to `new_len` blocks — the reorg rewind
@@ -567,9 +436,8 @@ impl BlockStore {
     /// Returns [`StoreError::UnknownHeight`] if `new_len` exceeds the
     /// current length, and [`StoreError::Io`] on filesystem failure.
     pub fn truncate(&self, new_len: u64) -> Result<u64, StoreError> {
-        let mut writer = self.writer.lock();
+        let mut tail = self.log.lock();
         let mut index = self.index.write();
-        let mut segments = self.segments.write();
         let old_len = index.len() as u64;
         if new_len > old_len {
             return Err(StoreError::UnknownHeight { height: new_len });
@@ -582,25 +450,9 @@ impl BlockStore {
             .last()
             .map(|loc| (loc.segment, loc.end()))
             .unwrap_or((0, SEGMENT_HEADER_LEN));
-
-        // Deleting highest-first keeps the on-disk segment numbering
-        // contiguous at every intermediate point, so a crash mid-way
-        // reopens to a valid prefix of the old chain.
-        for handle in segments.drain((keep_segment as usize + 1)..).rev() {
-            self.fs.remove_file(&handle.path)?;
-        }
-        let keep_path = self.dir.join(segment_file_name(keep_segment));
-        let mut file = OpenOptions::new().read(true).write(true).open(&keep_path)?;
-        self.fs.set_len(&file, end_offset)?;
-        self.fs.sync(&file)?;
-        file.seek(SeekFrom::End(0))?;
-        writer.file = file;
-        writer.segment = keep_segment;
-        writer.offset = end_offset;
-
-        drop(segments);
+        tail.truncate(keep_segment, end_offset)?;
         drop(index);
-        drop(writer);
+        drop(tail);
         self.save_index()?;
         Ok(old_len - new_len)
     }
@@ -654,9 +506,8 @@ impl BlockStore {
         if dropped == 0 {
             return Ok(0);
         }
-        let log_path = self.dir.join(FORKS_FILE);
         if kept.is_empty() {
-            self.fs.remove_file(&log_path)?;
+            self.fs.remove_file(&self.dir.join(FORKS_FILE))?;
             self.fs.sync_dir(&self.dir)?;
             return Ok(dropped);
         }
@@ -667,12 +518,7 @@ impl BlockStore {
             block.encode_into(&mut payload);
             bytes.extend_from_slice(&frame_record(&payload));
         }
-        let tmp = self.dir.join(FORKS_TMP_FILE);
-        let file = File::create(&tmp)?;
-        self.fs.write_all(&file, &bytes)?;
-        self.fs.sync(&file)?;
-        self.fs.rename(&tmp, &log_path)?;
-        self.fs.sync_dir(&self.dir)?;
+        write_atomic(&*self.fs, &self.dir, FORKS_FILE, &bytes)?;
         Ok(dropped)
     }
 
@@ -691,55 +537,21 @@ impl BlockStore {
         if !path.exists() {
             return Ok(Vec::new());
         }
-        let handle = SegmentHandle {
-            file: Arc::new(File::open(&path)?),
-            path,
-        };
-        let file_len = fs::metadata(&handle.path)?.len();
         let mut out = Vec::new();
-        let mut offset = 0u64;
-        while offset < file_len {
-            match scan_record(&handle, 0, offset, file_len)? {
-                ScannedRecord::Valid(loc) => {
-                    offset = loc.end();
-                    let payload = self.read_fork_record(&handle, loc)?;
-                    if payload.len() < 8 {
-                        return Err(StoreError::CorruptRecord {
-                            segment: 0,
-                            offset: loc.offset,
-                            detail: "fork record shorter than its height prefix",
-                        });
-                    }
-                    let height = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-                    let block = lvq_codec::decode_exact::<Block>(&payload[8..])?;
-                    out.push((height, block));
-                }
-                ScannedRecord::Corrupt { offset, detail } => {
-                    return Err(StoreError::CorruptRecord {
-                        segment: 0,
-                        offset,
-                        detail,
-                    });
-                }
-                ScannedRecord::Torn => break,
+        // A torn tail simply ends the replay.
+        scan_records(&SegmentHandle::open(path)?, 0, 0, |loc, payload| {
+            if payload.len() < 8 {
+                return Err(StoreError::CorruptRecord {
+                    segment: 0,
+                    offset: loc.offset,
+                    detail: "fork record shorter than its height prefix",
+                });
             }
-        }
+            let height = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+            out.push((height, lvq_codec::decode_exact::<Block>(&payload[8..])?));
+            Ok(())
+        })?;
         Ok(out)
-    }
-
-    fn read_fork_record(
-        &self,
-        handle: &SegmentHandle,
-        loc: RecordLoc,
-    ) -> Result<Vec<u8>, StoreError> {
-        read_record_payload(handle, loc).map_err(|e| match e {
-            FrameError::Io(e) => StoreError::Io(e),
-            FrameError::Corrupt { detail } => StoreError::CorruptRecord {
-                segment: 0,
-                offset: loc.offset,
-                detail,
-            },
-        })
     }
 
     /// Reads and decodes the block at `height` (1-based), verifying the
@@ -763,8 +575,7 @@ impl BlockStore {
     }
 
     fn read_record(&self, loc: RecordLoc) -> Result<Vec<u8>, StoreError> {
-        let handle = self.segments.read()[loc.segment as usize].clone();
-        read_record_payload(&handle, loc).map_err(|e| match e {
+        self.log.read(loc).map_err(|e| match e {
             FrameError::Io(e) => StoreError::Io(e),
             FrameError::Corrupt { detail } => StoreError::CorruptRecord {
                 segment: loc.segment,
@@ -814,18 +625,13 @@ impl BlockStore {
     ///
     /// Returns [`StoreError::Io`] on failure.
     pub fn sync(&self) -> Result<(), StoreError> {
-        let writer = self.writer.lock();
-        self.fs.sync(&writer.file)?;
-        drop(writer);
+        self.log.sync()?;
         self.save_index()
     }
 
-    /// Atomically rewrites `index.idx` (write to a temporary, rename,
-    /// fsync the directory).
+    /// Atomically rewrites `index.idx`.
     fn save_index(&self) -> Result<(), StoreError> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&INDEX_MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        let mut bytes = checked_header(INDEX_MAGIC);
         {
             let index = self.index.read();
             bytes.extend_from_slice(&(index.len() as u64).to_le_bytes());
@@ -835,18 +641,7 @@ impl BlockStore {
                 bytes.extend_from_slice(&loc.len.to_le_bytes());
             }
         }
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-
-        let tmp = self.dir.join(INDEX_TMP_FILE);
-        let file = File::create(&tmp)?;
-        self.fs.write_all(&file, &bytes)?;
-        self.fs.sync(&file)?;
-        self.fs.rename(&tmp, &self.dir.join(INDEX_FILE))?;
-        // A rename alone is not power-loss durable until the directory
-        // entry itself is on disk.
-        self.fs.sync_dir(&self.dir)?;
-        Ok(())
+        write_checked(&*self.fs, &self.dir, INDEX_FILE, bytes)
     }
 }
 
@@ -866,126 +661,76 @@ fn repair_fork_log(dir: &Path, fs_impl: &dyn StoreFs) -> Result<u64, StoreError>
     if !path.exists() {
         return Ok(0);
     }
-    let file_len = fs::metadata(&path)?.len();
-    let handle = SegmentHandle {
-        file: Arc::new(File::open(&path)?),
-        path: path.clone(),
+    let Some(torn) = scan_records(&SegmentHandle::open(path.clone())?, 0, 0, |_, _| Ok(()))? else {
+        return Ok(0);
     };
-    let mut offset = 0u64;
-    while offset < file_len {
-        match scan_record(&handle, 0, offset, file_len)? {
-            ScannedRecord::Valid(loc) => offset = loc.end(),
-            ScannedRecord::Corrupt { offset, detail } => {
-                return Err(StoreError::CorruptRecord {
-                    segment: 0,
-                    offset,
-                    detail,
-                });
-            }
-            ScannedRecord::Torn => {
-                let f = OpenOptions::new().write(true).open(&path)?;
-                fs_impl.set_len(&f, offset)?;
-                fs_impl.sync(&f)?;
-                return Ok(file_len - offset);
-            }
-        }
-    }
-    Ok(0)
+    let f = OpenOptions::new().write(true).open(&path)?;
+    fs_impl.set_len(&f, torn.start)?;
+    fs_impl.sync(&f)?;
+    Ok(torn.end - torn.start)
 }
 
 fn read_meta(path: &Path) -> Result<ChainParams, StoreError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 12 {
-        return Err(StoreError::CorruptMeta);
-    }
-    if bytes[..4] != META_MAGIC {
-        return Err(StoreError::BadMagic { file: META_FILE });
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion {
+    let body = read_checked(path, META_MAGIC, 0).map_err(|e| match e {
+        CheckedError::Io(e) => StoreError::Io(e),
+        CheckedError::BadMagic => StoreError::BadMagic { file: META_FILE },
+        CheckedError::Version(found) => StoreError::UnsupportedVersion {
             file: META_FILE,
-            found: version,
-        });
-    }
-    let body_len = bytes.len() - 4;
-    let stored_crc = u32::from_le_bytes([
-        bytes[body_len],
-        bytes[body_len + 1],
-        bytes[body_len + 2],
-        bytes[body_len + 3],
-    ]);
-    if crc32(&bytes[..body_len]) != stored_crc {
-        return Err(StoreError::CorruptMeta);
-    }
-    let mut reader = Reader::new(&bytes[8..body_len]);
+            found,
+        },
+        CheckedError::Truncated | CheckedError::Crc => StoreError::CorruptMeta,
+    })?;
+    let mut reader = Reader::new(&body);
     let params = ChainParams::decode_from(&mut reader).map_err(|_| StoreError::CorruptMeta)?;
     reader.finish().map_err(|_| StoreError::CorruptMeta)?;
     Ok(params)
 }
 
 /// Parses `index.idx`, returning `None` (rebuild) for any
-/// inconsistency: bad magic/version/CRC, out-of-range segments, or
-/// records that do not tile their segment contiguously.
-fn load_index(path: &Path, segments: &[SegmentHandle]) -> Option<Vec<RecordLoc>> {
-    let mut bytes = Vec::new();
-    File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
-    if bytes.len() < 20 || bytes[..4] != INDEX_MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) != VERSION {
-        return None;
-    }
-    let body_len = bytes.len() - 4;
-    let stored_crc = u32::from_le_bytes([
-        bytes[body_len],
-        bytes[body_len + 1],
-        bytes[body_len + 2],
-        bytes[body_len + 3],
-    ]);
-    if crc32(&bytes[..body_len]) != stored_crc {
-        return None;
-    }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().ok()?) as usize;
-    if body_len != 16 + count * 16 {
+/// inconsistency: bad magic/version/CRC, a count that disagrees with
+/// the file's length, out-of-range segments, or records that do not
+/// tile their segment contiguously.
+fn load_index(dir: &Path, log: &SegmentLog) -> Option<Vec<RecordLoc>> {
+    let body = read_checked(&dir.join(INDEX_FILE), INDEX_MAGIC, 8).ok()?;
+    let (count, entries) = body.split_at(8);
+    // The count is compared with the entries actually present — never
+    // multiplied — so no stored value can overflow or over-allocate.
+    let count = u64::from_le_bytes(count.try_into().ok()?);
+    if entries.len() % 16 != 0 || (entries.len() / 16) as u64 != count {
         return None;
     }
 
-    let mut index = Vec::with_capacity(count);
-    let mut expected: Vec<u64> = vec![SEGMENT_HEADER_LEN; segments.len()];
+    let segment_count = log.segment_count();
+    let mut index = Vec::with_capacity(entries.len() / 16);
+    let mut expected: Vec<u64> = vec![SEGMENT_HEADER_LEN; segment_count as usize];
     let mut current_segment = 0u32;
-    for i in 0..count {
-        let at = 16 + i * 16;
-        let segment = u32::from_le_bytes(bytes[at..at + 4].try_into().ok()?);
-        let offset = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().ok()?);
-        let len = u32::from_le_bytes(bytes[at + 12..at + 16].try_into().ok()?);
-        if (segment as usize) >= segments.len() || segment < current_segment {
-            return None;
-        }
-        current_segment = segment;
+    for entry in entries.chunks_exact(16) {
         let loc = RecordLoc {
-            segment,
-            offset,
-            len,
+            segment: u32::from_le_bytes(entry[..4].try_into().ok()?),
+            offset: u64::from_le_bytes(entry[4..12].try_into().ok()?),
+            len: u32::from_le_bytes(entry[12..].try_into().ok()?),
         };
-        // Records must tile each segment contiguously from its header.
-        if offset != expected[segment as usize] {
+        if loc.segment >= segment_count || loc.segment < current_segment {
             return None;
         }
-        expected[segment as usize] = loc.end();
+        current_segment = loc.segment;
+        // Records must tile each segment contiguously from its header.
+        if loc.offset != expected[loc.segment as usize] {
+            return None;
+        }
+        expected[loc.segment as usize] = loc.end();
         index.push(loc);
     }
     // Every indexed byte must exist on disk, and — since any honest
     // index is a prefix of the append order — every segment before the
     // last indexed one must be fully tiled.
     let max_indexed_segment = index.last().map(|loc| loc.segment).unwrap_or(0);
-    for (seg, handle) in segments.iter().enumerate() {
-        let file_len = fs::metadata(&handle.path).ok()?.len();
-        if expected[seg] > file_len {
+    for (seg, expected) in (0..segment_count).zip(expected) {
+        let file_len = log.segment_len(seg).ok()?;
+        if expected > file_len {
             return None;
         }
-        if (seg as u32) < max_indexed_segment && expected[seg] != file_len {
+        if seg < max_indexed_segment && expected != file_len {
             return None;
         }
     }
